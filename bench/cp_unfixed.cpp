@@ -1,17 +1,16 @@
-// Learning-CP ablation on the unfixed-binding cases: the plain
-// chronological search (restarts, nogood recording and binding symmetry
-// breaking all off — the full binding space) vs the learning search
-// (nogood recording, Luby restarts, activity value ordering, verified
-// lex-leader symmetry breaking — the defaults).
+// Symmetry-breaking ablation on the unfixed-binding cases: the CP search
+// with binding symmetry breaking off (cp_symmetry = false — the full
+// binding space) vs the default search (verified lex-leader symmetry
+// breaking).
 //
-// Shape to reproduce: identical proven objective on every case (all the
-// pruning is exact), with the learning search visiting a fraction of the
+// Shape to reproduce: identical proven objective on every case (the
+// pruning is exact), with the default search visiting a fraction of the
 // nodes. `--smoke` gates the claim for CI: on the pinned case — the
 // hardest reconstructed unfixed-policy case whose baseline still proves
-// within the bench budget — the learning search must prove the same
-// optimum within 50% of the baseline's nodes, else the binary exits
-// nonzero. (mRNA's unreduced baseline no longer proves in-budget at all;
-// it is reported, not gated.)
+// within the bench budget — the default search must prove the same
+// optimum within 50% of the baseline's nodes, exploring exactly
+// kPinnedNodes, else the binary exits nonzero. (mRNA's unreduced
+// baseline does not prove in-budget at all; it is reported, not gated.)
 
 #include <cmath>
 #include <cstdio>
@@ -22,6 +21,14 @@
 #include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
 
+namespace {
+
+/// Nodes the default search explores on the pinned case. The search is
+/// deterministic, so any other count means its pruning changed.
+constexpr long kPinnedNodes = 570'972;
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace mlsi;
   using synth::BindingPolicy;
@@ -31,8 +38,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   bench::init("cp_unfixed");
-  std::printf("Learning CP search vs plain chronological search — unfixed "
-              "binding%s\n\n", smoke ? " (smoke gate)" : "");
+  std::printf("CP search with vs without binding symmetry breaking — "
+              "unfixed binding%s\n\n", smoke ? " (smoke gate)" : "");
 
   struct Row {
     const char* name;
@@ -45,8 +52,8 @@ int main(int argc, char** argv) {
       {"nucleic acid", cases::nucleic_acid, false},
   };
 
-  io::TextTable table({"case", "config", "objective", "proven", "nodes",
-                       "restarts", "nogoods", "T(s)"});
+  io::TextTable table(
+      {"case", "config", "objective", "proven", "nodes", "T(s)"});
   bool gate_ok = true;
   for (const Row& row : rows) {
     const synth::ProblemSpec spec = row.make(BindingPolicy::kUnfixed);
@@ -54,28 +61,27 @@ int main(int argc, char** argv) {
 
     synth::EngineParams baseline;
     baseline.deadline = support::Deadline::after(300.0);
-    baseline.cp_restarts = false;
     baseline.cp_symmetry = false;
     Timer t_base;
-    const auto seed = solve_cp(syn.topology(), syn.paths(), spec, baseline);
+    const auto full = solve_cp(syn.topology(), syn.paths(), spec, baseline);
     const double base_s = t_base.seconds();
 
-    synth::EngineParams learning;
-    learning.deadline = support::Deadline::after(300.0);
-    Timer t_learn;
-    const auto learned = solve_cp(syn.topology(), syn.paths(), spec, learning);
-    const double learn_s = t_learn.seconds();
+    synth::EngineParams defaults;
+    defaults.deadline = support::Deadline::after(300.0);
+    Timer t_default;
+    const auto reduced = solve_cp(syn.topology(), syn.paths(), spec, defaults);
+    const double default_s = t_default.seconds();
 
     json::Object rec;
     rec["case"] = json::Value{spec.name};
     rec["pinned"] = json::Value{row.pinned};
-    if (!seed.ok() || !learned.ok()) {
+    if (!full.ok() || !reduced.ok()) {
       const bool agree_infeasible =
-          seed.status().code() == StatusCode::kInfeasible &&
-          learned.status().code() == StatusCode::kInfeasible;
+          full.status().code() == StatusCode::kInfeasible &&
+          reduced.status().code() == StatusCode::kInfeasible;
       if (row.pinned || !agree_infeasible) gate_ok = false;
-      table.add_row({row.name, "both", "no solution", "-", "-", "-", "-",
-                     fmt_double(base_s + learn_s, 3)});
+      table.add_row({row.name, "both", "no solution", "-", "-",
+                     fmt_double(base_s + default_s, 3)});
       rec["ok"] = json::Value{false};
       bench::Telemetry::instance().record(std::move(rec));
       continue;
@@ -84,43 +90,41 @@ int main(int argc, char** argv) {
                          const synth::SynthesisResult& r, double secs) {
       table.add_row({row.name, config, fmt_double(r.objective, 3),
                      r.stats.proven_optimal ? "yes" : "NO",
-                     cat(r.stats.nodes), cat(r.stats.restarts),
-                     cat(r.stats.nogoods_recorded), fmt_double(secs, 3)});
+                     cat(r.stats.nodes), fmt_double(secs, 3)});
     };
-    add("baseline", *seed, base_s);
-    add("learning", *learned, learn_s);
+    add("no symmetry", *full, base_s);
+    add("default", *reduced, default_s);
 
     const bool same_optimum =
-        std::abs(seed->objective - learned->objective) < 1e-9 &&
-        seed->stats.proven_optimal && learned->stats.proven_optimal;
+        std::abs(full->objective - reduced->objective) < 1e-9 &&
+        full->stats.proven_optimal && reduced->stats.proven_optimal;
     const double node_ratio =
-        seed->stats.nodes > 0
-            ? static_cast<double>(learned->stats.nodes) /
-                  static_cast<double>(seed->stats.nodes)
+        full->stats.nodes > 0
+            ? static_cast<double>(reduced->stats.nodes) /
+                  static_cast<double>(full->stats.nodes)
             : 1.0;
     if (!same_optimum) gate_ok = false;
-    if (row.pinned && node_ratio > 0.5) gate_ok = false;
+    if (row.pinned &&
+        (node_ratio > 0.5 || reduced->stats.nodes != kPinnedNodes)) {
+      gate_ok = false;
+    }
 
     rec["ok"] = json::Value{true};
-    rec["objective"] = json::Value{learned->objective};
+    rec["objective"] = json::Value{reduced->objective};
     rec["same_optimum"] = json::Value{same_optimum};
     rec["baseline_nodes"] =
-        json::Value{static_cast<double>(seed->stats.nodes)};
-    rec["learning_nodes"] =
-        json::Value{static_cast<double>(learned->stats.nodes)};
+        json::Value{static_cast<double>(full->stats.nodes)};
+    rec["default_nodes"] =
+        json::Value{static_cast<double>(reduced->stats.nodes)};
     rec["node_ratio"] = json::Value{node_ratio};
-    rec["restarts"] = json::Value{static_cast<double>(learned->stats.restarts)};
-    rec["nogoods_recorded"] =
-        json::Value{static_cast<double>(learned->stats.nogoods_recorded)};
-    rec["nogood_hits"] =
-        json::Value{static_cast<double>(learned->stats.nogood_hits)};
     rec["baseline_wall_s"] = json::Value{base_s};
-    rec["learning_wall_s"] = json::Value{learn_s};
+    rec["default_wall_s"] = json::Value{default_s};
     bench::Telemetry::instance().record(std::move(rec));
   }
   std::printf("%s\n", table.to_string().c_str());
-  std::printf("shape check: same proven optimum everywhere and <= 50%% of "
-              "the baseline nodes on the pinned case: %s\n",
-              gate_ok ? "yes" : "NO");
+  std::printf("shape check: same proven optimum everywhere, and on the "
+              "pinned case <= 50%% of the baseline nodes and exactly %ld "
+              "default nodes: %s\n",
+              kPinnedNodes, gate_ok ? "yes" : "NO");
   return gate_ok ? 0 : 1;
 }

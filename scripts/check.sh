@@ -38,10 +38,10 @@ build/bench/micro_opt --smoke
 cmake --build build -j "$(nproc)" --target serve_throughput
 build/bench/serve_throughput --smoke
 
-# Learning-CP smoke: on the pinned hardest unfixed case the learning search
-# (nogoods + Luby restarts + activity ordering + verified symmetry
-# breaking) must prove the same optimum as the seed chronological search
-# within 50% of its nodes.
+# CP symmetry-breaking smoke: on the pinned hardest unfixed case the
+# default search (verified lex-leader symmetry breaking) must prove the
+# same optimum as the search over the full binding space within 50% of
+# its nodes, exploring exactly the pinned node count.
 cmake --build build -j "$(nproc)" --target cp_unfixed
 build/bench/cp_unfixed --smoke
 
@@ -148,7 +148,7 @@ build-asan/tests/obs_test
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
     --target exec_test obs_test opt_milp_test synth_portfolio_test \
-    serve_test cp_learning_test mlsi_synth_cli
+    serve_test cp_search_test mlsi_synth_cli
 build-tsan/tests/exec_test
 build-tsan/tests/obs_test
 # Serving layer under TSan: sharded LRU, coalesced flights, admission
@@ -158,8 +158,8 @@ build-tsan/tests/serve_test
 # real contention (determinism + stop-token unwind tests included).
 build-tsan/tests/opt_milp_test --gtest_filter='MilpTest.Parallel*'
 build-tsan/tests/synth_portfolio_test
-# Learning CP racers (nogood store + shared incumbent) under real races.
-build-tsan/tests/cp_learning_test --gtest_filter='LearningPortfolioTest.*'
+# CP racers (shared incumbent) under real races.
+build-tsan/tests/cp_search_test --gtest_filter='LearningPortfolioTest.*'
 # Obs enabled under TSan: per-thread trace buffers, metrics atomics and the
 # search-log mutex all get exercised by a real portfolio race.
 build-tsan/tools/mlsi_synth tests/data/demo_clockwise.json \

@@ -175,10 +175,6 @@ Value result_to_json(const arch::SwitchTopology& topo,
       Value{static_cast<double>(result.stats.cuts_generated)};
   obj["cuts_applied"] = Value{static_cast<double>(result.stats.cuts_applied)};
   obj["cuts_dropped"] = Value{static_cast<double>(result.stats.cuts_dropped)};
-  obj["nogoods_recorded"] =
-      Value{static_cast<double>(result.stats.nogoods_recorded)};
-  obj["nogood_hits"] = Value{static_cast<double>(result.stats.nogood_hits)};
-  obj["restarts"] = Value{static_cast<double>(result.stats.restarts)};
 
   Object binding;
   for (int m = 0; m < spec.num_modules(); ++m) {

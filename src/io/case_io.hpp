@@ -45,8 +45,9 @@ Status save_spec(const std::string& path, const synth::ProblemSpec& spec);
 /// v3 adds the MILP cutting-plane counters "cuts_generated",
 /// "cuts_applied" and "cuts_dropped" (additive — v2 consumers that ignore
 /// unknown keys keep working); v4 adds the learning-CP counters
-/// "nogoods_recorded", "nogood_hits" and "restarts" (additive likewise).
-inline constexpr int kResultSchemaVersion = 4;
+/// "nogoods_recorded", "nogood_hits" and "restarts" (additive likewise);
+/// v5 removes those three again, with the learning search they counted.
+inline constexpr int kResultSchemaVersion = 5;
 
 /// Serializes a synthesis result (for EXPERIMENTS.md-style records): the
 /// schedule, binding, per-flow paths by segment names, lengths, valves and

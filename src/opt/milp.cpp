@@ -616,8 +616,9 @@ Solution BranchAndBound::run() {
   // Phase 2: workers drain the frontier, each running an exhaustive DFS per
   // subtree. The incumbent bound crosses workers through the atomic min, so
   // any worker's solution prunes every other's dive; StopToken/deadline
-  // trips unwind all workers at their next node check.
-  {
+  // trips unwind all workers at their next node check. A frontier the
+  // expansion already emptied needs no pool.
+  if (!frontier.empty()) {
     std::mutex frontier_mutex;
     support::ThreadPool pool(jobs_);
     for (int w = 0; w < jobs_; ++w) {

@@ -141,11 +141,6 @@ Value cached_to_json(const CachedResult& cached) {
       Value{static_cast<double>(cached.stats.cuts_generated)};
   stats["cuts_applied"] = Value{static_cast<double>(cached.stats.cuts_applied)};
   stats["cuts_dropped"] = Value{static_cast<double>(cached.stats.cuts_dropped)};
-  stats["nogoods_recorded"] =
-      Value{static_cast<double>(cached.stats.nogoods_recorded)};
-  stats["nogood_hits"] =
-      Value{static_cast<double>(cached.stats.nogood_hits)};
-  stats["restarts"] = Value{static_cast<double>(cached.stats.restarts)};
   o["stats"] = Value{std::move(stats)};
   return Value{std::move(o)};
 }
@@ -206,11 +201,6 @@ Result<CachedResult> cached_from_json(const Value& doc) {
         static_cast<long>(stats->get_number("cuts_applied", 0.0));
     c.stats.cuts_dropped =
         static_cast<long>(stats->get_number("cuts_dropped", 0.0));
-    c.stats.nogoods_recorded =
-        static_cast<long>(stats->get_number("nogoods_recorded", 0.0));
-    c.stats.nogood_hits =
-        static_cast<long>(stats->get_number("nogood_hits", 0.0));
-    c.stats.restarts = static_cast<long>(stats->get_number("restarts", 0.0));
   }
   return c;
 }

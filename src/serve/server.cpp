@@ -402,9 +402,9 @@ void Server::worker_loop() {
     if (flight->deadline.expired()) {
       counters_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
       count("serve.rejected_deadline");
+      on_deadline_blown();
       publish(flight, ServeOutcome::kRejected, nullptr,
               "deadline expired while queued");
-      on_deadline_blown();
       continue;
     }
     counters_.solves.fetch_add(1, std::memory_order_relaxed);
@@ -472,8 +472,8 @@ void Server::worker_loop() {
         counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
         count("serve.timeouts");
       }
-      publish(flight, outcome, nullptr, solved.status().message());
       if (outcome == ServeOutcome::kTimeout) on_deadline_blown();
+      publish(flight, outcome, nullptr, solved.status().message());
     }
   }
 }
@@ -481,7 +481,9 @@ void Server::worker_loop() {
 void Server::on_deadline_blown() {
   // A blown deadline is exactly the "wedged solve" evidence the flight
   // recorder exists for: dump the recent rings while the trail is fresh.
-  // Repeated dumps overwrite — the latest evidence wins.
+  // Called before publish(), so the dump is on disk by the time the
+  // client sees its rejection. Repeated dumps overwrite — the latest
+  // evidence wins.
   obs::FlightRecorder& rec = obs::FlightRecorder::instance();
   if (!obs::flight_recorder_enabled() || rec.dump_path()[0] == '\0') return;
   if (rec.dump().ok()) count("fr.dumps");

@@ -13,7 +13,7 @@
 ///    DFS; bindings are restricted to lex-minimal representatives under the
 ///    switch's verified automorphisms (cp_symmetry.hpp), falling back to
 ///    the quarter-turn restriction of the first pin choice when no symmetry
-///    verifies or EngineParams::cp_symmetry is off.
+///    verifies.
 ///
 /// Constraints enforced during the dive (identical to the IQP):
 ///  * one path per flow, each candidate path used at most once (3.1, 3.2);
@@ -28,12 +28,9 @@
 /// by added-union-length, sets lowest-first — the first dive is the greedy
 /// solution and gives a strong early incumbent.
 ///
-/// The fixed/unfixed dives are wrapped in a learning, restarting search
-/// (cp_search.hpp): Luby restarts, nogood recording from failed subtrees
-/// into a bounded activity-decayed store, and activity-based value ordering
-/// after the first greedy run. EngineParams::{cp_restarts, cp_symmetry,
-/// cp_restart_base, cp_nogood_limit, cp_activity_decay} control it; with
-/// cp_restarts and cp_symmetry off the seed search is reproduced exactly.
+/// The search itself lives in cp_search.hpp. EngineParams::cp_symmetry is
+/// its only tuning knob; off, the unfixed search enumerates the full
+/// binding space.
 
 #include "synth/engine.hpp"
 

@@ -8,20 +8,9 @@
 #include "obs/obs.hpp"
 #include "support/log.hpp"
 #include "support/timer.hpp"
-#include "synth/cp_nogoods.hpp"
 #include "synth/cp_symmetry.hpp"
 
 namespace mlsi::synth {
-
-long luby(long i) {
-  for (;;) {
-    long k = 1;
-    while (((1L << k) - 1) < i) ++k;
-    if (i == (1L << k) - 1) return 1L << (k - 1);
-    i -= (1L << (k - 1)) - 1;
-  }
-}
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -31,12 +20,7 @@ class CpSearch {
  public:
   CpSearch(const arch::SwitchTopology& topo, const arch::PathSet& paths,
            const ProblemSpec& spec, const EngineParams& params)
-      : topo_(topo),
-        paths_(paths),
-        spec_(spec),
-        params_(params),
-        store_(std::max(1, params.cp_nogood_limit),
-               params.cp_activity_decay) {}
+      : topo_(topo), paths_(paths), spec_(spec), params_(params) {}
 
   Result<SynthesisResult> run();
 
@@ -48,24 +32,9 @@ class CpSearch {
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
   void enumerate_clockwise(std::vector<int>& pin_of_order, int order_pos);
   void dfs(int pos);
-  /// Applies the placement and descends. Returns false when the placement
-  /// was pruned before entering the subtree (owner clash or bound) — a
-  /// complete refutation of \p set_lit under the current trail. The store
-  /// push/pop for set_lit happens inside, only when the subtree is actually
-  /// entered: ~98% of tried placements prune immediately, and skipping
-  /// their store traffic is what keeps the learning search near the
-  /// chronological search's node rate.
-  bool place_and_recurse(int pos, int flow, const arch::Path& path, int set,
-                         NogoodLit set_lit);
-
-  /// Luby-restart driver around one whole-space dive. Keeps the incumbent
-  /// and the nogood store across runs; a run that completes within its
-  /// budget has exhausted the (reduced) space.
-  template <typename Dive>
-  void learn_loop(Dive dive);
-  void trigger_restart();
-  void flush_pending_nogoods();
-  void decay_activities();
+  /// Applies the placement and descends, unless it is pruned first (owner
+  /// clash or bound).
+  void place_and_recurse(int pos, int flow, const arch::Path& path, int set);
 
   [[nodiscard]] double union_len_mm() const { return union_len_um_ / 1000.0; }
   [[nodiscard]] double partial_cost(int sets) const {
@@ -79,8 +48,6 @@ class CpSearch {
     }
     return truncated_;
   }
-  /// True when the current dive must unwind (global budget or restart).
-  [[nodiscard]] bool stopped() const { return truncated_ || restart_pending_; }
   /// Objective upper bound to prune against: the local incumbent, tightened
   /// by the portfolio's shared incumbent when racing.
   [[nodiscard]] double bound_obj() const {
@@ -96,38 +63,6 @@ class CpSearch {
 
   void record_incumbent();
 
-  // --- trail / refutation-frame bookkeeping (no-ops unless learning_) ----
-
-  [[nodiscard]] std::vector<NogoodLit>& frame(std::size_t depth) {
-    if (refuted_.size() <= depth) refuted_.resize(depth + 1);
-    return refuted_[depth];
-  }
-  void push_lit(NogoodLit l) {
-    trail_.push_back(l);
-    // may_contain is stable for a whole run, so the skip stays symmetric
-    // with pop_lit's.
-    if (store_.may_contain(l)) store_.on_assign(l);
-    frame(trail_.size()).clear();  // fresh frame for this literal's children
-  }
-  /// Pops \p l; when its subtree completed (was not cut by a restart or the
-  /// global budget) the literal is a proven-refuted alternative under the
-  /// remaining prefix.
-  void pop_lit(NogoodLit l) {
-    trail_.pop_back();
-    if (store_.may_contain(l)) store_.on_unassign(l);
-    if (!stopped()) frame(trail_.size()).push_back(l);
-  }
-  void mark_refuted(NogoodLit l) { frame(trail_.size()).push_back(l); }
-  /// Blocked candidates count as refuted: the store's claim ("no completion
-  /// below a bound that is >= ours") is exactly a completed refutation.
-  [[nodiscard]] bool blocked_by_store(NogoodLit l) {
-    if (!learning_ || store_.empty()) return false;
-    if (!store_.may_contain(l)) return false;
-    if (!store_.blocked(l, bound_obj())) return false;
-    mark_refuted(l);
-    return true;
-  }
-
   const arch::SwitchTopology& topo_;
   const arch::PathSet& paths_;
   const ProblemSpec& spec_;
@@ -136,10 +71,8 @@ class CpSearch {
   int num_pins_ = 0;
   int max_sets_ = 0;
 
-  // Search order over flows and conflict adjacency (by order position).
-  // Fixed for the whole solve, restarts included: flow-set indices are
-  // canonicalized first-fit along this order, so the enumerated solution
-  // space — and with it every recorded nogood — depends on it.
+  // Search order over flows and conflict adjacency (by order position),
+  // fixed for the whole solve.
   std::vector<int> flow_order_;
   std::vector<std::vector<int>> conflict_prior_;
   double stub_um_ = 0.0;  ///< shortest pin stub (um), for the suffix bound
@@ -161,21 +94,6 @@ class CpSearch {
   int sets_used_ = 0;
   std::vector<std::vector<int>> owner_;  ///< [set][vertex] inlet module or -1
   std::vector<char> path_used_;
-
-  // Learning state.
-  bool learning_ = false;
-  NogoodStore store_;
-  std::vector<NogoodLit> trail_;
-  std::vector<std::vector<NogoodLit>> refuted_;  ///< frame d: refuted under trail[0..d)
-  std::vector<std::pair<std::vector<NogoodLit>, double>> pending_nogoods_;
-  long run_index_ = 1;
-  long run_nodes_ = 0;
-  long run_budget_ = std::numeric_limits<long>::max();
-  bool restart_pending_ = false;
-  long restarts_ = 0;
-  long activity_rebuilds_ = 0;
-  std::vector<double> pin_activity_;   ///< [module * num_pins + pin]
-  std::vector<double> path_activity_;  ///< [path id]
 
   // Symmetry state (unfixed policy).
   PinSymmetries syms_;
@@ -235,15 +153,6 @@ void CpSearch::prepare() {
   owner_.assign(static_cast<std::size_t>(max_sets_),
                 std::vector<int>(static_cast<std::size_t>(topo_.num_vertices()), -1));
   path_used_.assign(static_cast<std::size_t>(paths_.size()), 0);
-
-  // Learning applies to whole-space dives only; the clockwise policy's
-  // sliced outer enumeration keeps the seed behavior (see cp_search.hpp).
-  learning_ = params_.cp_restarts && spec_.policy != BindingPolicy::kClockwise;
-  if (learning_) {
-    pin_activity_.assign(
-        static_cast<std::size_t>(spec_.num_modules() * num_pins_), 0.0);
-    path_activity_.assign(static_cast<std::size_t>(paths_.size()), 0.0);
-  }
 
   // Lex-leader symmetry breaking needs verified automorphisms and a fixed
   // module comparison order: the order modules are first bound along the
@@ -326,8 +235,7 @@ void CpSearch::record_incumbent() {
     best_obj_ = obj;
     have_best_ = true;
     best_module_pin_ = module_pin_;
-    // Stored by flow id, not order position: the learning search may adopt
-    // a different flow order after this incumbent was recorded.
+    // Stored by flow id, the order run() assembles the result in.
     best_path_.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
     best_set_.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
     for (std::size_t pos = 0; pos < flow_order_.size(); ++pos) {
@@ -354,15 +262,15 @@ void CpSearch::record_incumbent() {
   }
 }
 
-bool CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
-                                 int set, NogoodLit set_lit) {
+void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
+                                 int set) {
   // Collision/scheduling rule: within a set, every vertex belongs to at
   // most one inlet module.
   const int src = spec_.flows[static_cast<std::size_t>(flow)].src_module;
   auto& owners = owner_[static_cast<std::size_t>(set)];
   for (const int v : path.vertices) {
     const int o = owners[static_cast<std::size_t>(v)];
-    if (o != -1 && o != src) return false;
+    if (o != -1 && o != src) return;
   }
 
   // Bound check with this placement applied plus the suffix length bound.
@@ -373,7 +281,7 @@ bool CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
       spec_.beta *
           (new_len_um + suffix_bound_um_[static_cast<std::size_t>(pos + 1)]) /
           1000.0;
-  if (lb >= bound_obj() - kObjEps) return false;
+  if (lb >= bound_obj() - kObjEps) return;
 
   // Apply.
   std::vector<int> owned;  // vertices newly claimed (for undo)
@@ -392,9 +300,7 @@ bool CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
   chosen_path_[static_cast<std::size_t>(pos)] = path.id;
   chosen_set_[static_cast<std::size_t>(pos)] = set;
 
-  if (learning_) push_lit(set_lit);
   dfs(pos + 1);
-  if (learning_) pop_lit(set_lit);
 
   // Undo.
   chosen_path_[static_cast<std::size_t>(pos)] = -1;
@@ -404,104 +310,11 @@ bool CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
   sets_used_ = saved_sets;
   for (const int s : path.segments) --seg_count_[static_cast<std::size_t>(s)];
   for (const int v : owned) owners[static_cast<std::size_t>(v)] = -1;
-  return true;
-}
-
-void CpSearch::trigger_restart() {
-  restart_pending_ = true;
-  ++restarts_;
-  // Reduced nld-nogoods: the surviving trail prefix up to frame d, plus
-  // each alternative refuted directly under that prefix. The bound is
-  // bound_obj() *now* — refutations earlier in the run pruned against a
-  // bound at least this large, so the weaker joint claim is sound, and the
-  // bound can only keep shrinking afterwards.
-  const double bnd = bound_obj();
-  std::vector<NogoodLit> lits;
-  const std::size_t frames = std::min(refuted_.size(), trail_.size() + 1);
-  for (std::size_t d = 0; d < frames; ++d) {
-    for (const NogoodLit a : refuted_[d]) {
-      lits.assign(trail_.begin(),
-                  trail_.begin() + static_cast<std::ptrdiff_t>(d));
-      lits.push_back(a);
-      // Deferred: on_trail counters must only see additions while the trail
-      // is empty, so the store mutation happens after the dive unwinds.
-      pending_nogoods_.emplace_back(lits, bnd);
-    }
-  }
-  if (obs::search_log_enabled()) {
-    obs::search_event("cp_restart",
-                      {{"run", json::Value{run_index_}},
-                       {"nodes", json::Value{nodes_}},
-                       {"nogoods", json::Value{
-                            static_cast<long>(pending_nogoods_.size())}}});
-  }
-}
-
-void CpSearch::flush_pending_nogoods() {
-  for (auto& [lits, bnd] : pending_nogoods_) {
-    if (!store_.add(lits, bnd)) continue;
-    for (const NogoodLit l : lits) {
-      switch (lit_kind(l)) {
-        case LitKind::kBinding:
-          pin_activity_[static_cast<std::size_t>(lit_a(l) * num_pins_ +
-                                                 lit_b(l))] += 1.0;
-          break;
-        case LitKind::kPath:
-          path_activity_[static_cast<std::size_t>(lit_b(l))] += 1.0;
-          break;
-        case LitKind::kSet:
-          break;
-      }
-    }
-  }
-  pending_nogoods_.clear();
-}
-
-void CpSearch::decay_activities() {
-  for (double& a : pin_activity_) a *= params_.cp_activity_decay;
-  for (double& a : path_activity_) a *= params_.cp_activity_decay;
-}
-
-template <typename Dive>
-void CpSearch::learn_loop(Dive dive) {
-  if (!learning_) {
-    dive();
-    return;
-  }
-  for (run_index_ = 1;; ++run_index_) {
-    if (run_index_ > 1) {
-      decay_activities();
-      store_.decay_and_trim();
-      ++activity_rebuilds_;
-    }
-    run_nodes_ = 0;
-    // Luby budgets with a geometric completeness floor: a run may always
-    // spend at least half of all nodes spent so far, so cumulative work
-    // grows >= 1.5x per restart once the floor binds and a run large
-    // enough to exhaust the (nogood-reduced) space arrives within a
-    // constant factor of the chronological search's node count. Pure Luby
-    // with a small base would need ~2^k runs to reach a budget of
-    // base*2^k — on large instances the proving run would never come.
-    run_budget_ = std::max(std::max(1L, params_.cp_restart_base) *
-                               luby(run_index_),
-                           nodes_ / 2);
-    restart_pending_ = false;
-    refuted_.assign(1, {});
-    dive();
-    flush_pending_nogoods();
-    if (!restart_pending_ || truncated_) break;
-  }
-  restart_pending_ = false;
 }
 
 void CpSearch::dfs(int pos) {
   ++nodes_;
-  ++run_nodes_;
   if (out_of_budget()) return;
-  if (learning_ && !restart_pending_ && run_nodes_ >= run_budget_) {
-    trigger_restart();
-    return;
-  }
   if (pos == static_cast<int>(flow_order_.size())) {
     record_incumbent();
     return;
@@ -535,8 +348,8 @@ void CpSearch::dfs(int pos) {
     // the verified lex-leader machinery above): the very first binding
     // decision of an unfixed search only needs one side of the
     // (rotation-symmetric) crossbar. cp_symmetry=false disables binding
-    // symmetry breaking entirely — that is the ablation baseline the
-    // learning search is measured against (bench/cp_unfixed).
+    // symmetry breaking entirely — the ablation baseline of
+    // bench/cp_unfixed.
     const int limit = (bound_modules_ == 0 && params_.cp_symmetry &&
                        topo_.kind() == arch::TopologyKind::kCrossbar)
                           ? num_pins_ / 4
@@ -545,47 +358,12 @@ void CpSearch::dfs(int pos) {
       if (pin_module_[static_cast<std::size_t>(p)] == -1) src_pins.push_back(p);
     }
   }
-  // Activity value ordering from the second run on; the first run keeps
-  // the static order that produces the greedy incumbent dive. Values are
-  // sorted by activity ASCENDING — succeed-first: activity counts how
-  // often a value sat in a refuted subtree, so heavily-refuted values sink
-  // to the back and the restart dives into fresh regions first (fail-first
-  // is a variable-ordering principle; for values it would steer every
-  // restart into the most hostile part of the space). When every
-  // candidate's activity is equal (the overwhelmingly common case: only
-  // literals of recorded nogoods ever gain activity) the sort is an
-  // identity and is skipped — the learning search must not pay a per-node
-  // sort the chronological search doesn't.
-  const auto activity_sort = [&](std::vector<int>& pins, int module) {
-    if (pins.size() < 2) return;
-    const double a0 = pin_activity_[static_cast<std::size_t>(
-        module * num_pins_ + pins[0])];
-    bool differ = false;
-    for (std::size_t i = 1; i < pins.size(); ++i) {
-      if (pin_activity_[static_cast<std::size_t>(module * num_pins_ +
-                                                 pins[i])] != a0) {
-        differ = true;
-        break;
-      }
-    }
-    if (!differ) return;
-    std::stable_sort(pins.begin(), pins.end(), [&](int a, int b) {
-      return pin_activity_[static_cast<std::size_t>(module * num_pins_ + a)] <
-             pin_activity_[static_cast<std::size_t>(module * num_pins_ + b)];
-    });
-  };
-  if (!src_bound && learning_ && run_index_ > 1) {
-    activity_sort(src_pins, fs.src_module);
-  }
 
   for (const int sp : src_pins) {
-    const NogoodLit src_lit = make_lit(LitKind::kBinding, fs.src_module, sp);
     if (!src_bound) {
-      if (blocked_by_store(src_lit)) continue;
       module_pin_[static_cast<std::size_t>(fs.src_module)] = sp;
       pin_module_[static_cast<std::size_t>(sp)] = fs.src_module;
       ++bound_modules_;
-      if (learning_) push_lit(src_lit);
     }
 
     std::vector<int> dst_pins;
@@ -602,19 +380,13 @@ void CpSearch::dfs(int pos) {
         }
         dst_pins.push_back(p);
       }
-      if (learning_ && run_index_ > 1) {
-        activity_sort(dst_pins, fs.dst_module);
-      }
     }
 
     for (const int dp : dst_pins) {
-      const NogoodLit dst_lit = make_lit(LitKind::kBinding, fs.dst_module, dp);
       if (!dst_bound) {
-        if (blocked_by_store(dst_lit)) continue;
         module_pin_[static_cast<std::size_t>(fs.dst_module)] = dp;
         pin_module_[static_cast<std::size_t>(dp)] = fs.dst_module;
         ++bound_modules_;
-        if (learning_) push_lit(dst_lit);
       }
 
       const int src_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(sp)];
@@ -652,65 +424,34 @@ void CpSearch::dfs(int pos) {
         if (clash) continue;
         ordered.emplace_back(added_length_um(path), pid);
       }
-      bool use_activity = false;
-      if (learning_ && run_index_ > 1) {
-        for (const auto& [len, pid] : ordered) {
-          (void)len;
-          if (path_activity_[static_cast<std::size_t>(pid)] != 0.0) {
-            use_activity = true;
-            break;
-          }
-        }
-      }
-      if (use_activity) {
-        std::stable_sort(ordered.begin(), ordered.end(),
-                         [&](const auto& a, const auto& b) {
-                           const double aa = path_activity_[static_cast<std::size_t>(a.second)];
-                           const double ab = path_activity_[static_cast<std::size_t>(b.second)];
-                           if (aa != ab) return aa < ab;  // succeed-first
-                           return a.first < b.first;
-                         });
-      } else {
-        std::stable_sort(ordered.begin(), ordered.end(),
-                         [](const auto& a, const auto& b) { return a.first < b.first; });
-      }
+      std::stable_sort(ordered.begin(), ordered.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
 
       for (const auto& [added, pid] : ordered) {
         (void)added;
-        const NogoodLit path_lit = make_lit(LitKind::kPath, flow, pid);
-        if (blocked_by_store(path_lit)) continue;
-        if (learning_) push_lit(path_lit);
         const arch::Path& path = paths_.path(pid);
         const int set_limit = std::min(sets_used_ + 1, max_sets_);
         for (int set = 0; set < set_limit; ++set) {
-          const NogoodLit set_lit = make_lit(LitKind::kSet, flow, set);
-          if (blocked_by_store(set_lit)) continue;
-          if (!place_and_recurse(pos, flow, path, set, set_lit) &&
-              learning_) {
-            mark_refuted(set_lit);
-          }
-          if (stopped()) break;
+          place_and_recurse(pos, flow, path, set);
+          if (truncated_) break;
         }
-        if (learning_) pop_lit(path_lit);
-        if (stopped()) break;
+        if (truncated_) break;
       }
 
       if (!dst_bound) {
-        if (learning_) pop_lit(dst_lit);
         module_pin_[static_cast<std::size_t>(fs.dst_module)] = -1;
         pin_module_[static_cast<std::size_t>(dp)] = -1;
         --bound_modules_;
       }
-      if (stopped()) break;
+      if (truncated_) break;
     }
 
     if (!src_bound) {
-      if (learning_) pop_lit(src_lit);
       module_pin_[static_cast<std::size_t>(fs.src_module)] = -1;
       pin_module_[static_cast<std::size_t>(sp)] = -1;
       --bound_modules_;
     }
-    if (stopped()) break;
+    if (truncated_) break;
   }
 }
 
@@ -781,7 +522,7 @@ Result<SynthesisResult> CpSearch::run() {
         }
         module_pin[static_cast<std::size_t>(mp.module)] = mp.pin_index;
       }
-      learn_loop([&] { run_fixed_binding(module_pin); });
+      run_fixed_binding(module_pin);
       break;
     }
     case BindingPolicy::kClockwise: {
@@ -796,17 +537,13 @@ Result<SynthesisResult> CpSearch::run() {
       if (spec_.num_modules() > num_pins_) {
         return Status::InvalidArgument("more modules than pins");
       }
-      learn_loop([&] { dfs(0); });
+      dfs(0);
       break;
     }
   }
 
   if (obs::metrics_enabled()) {
     obs::metrics().counter("cp.nodes").add(nodes_);
-    obs::metrics().counter("cp.nogoods_recorded").add(store_.recorded());
-    obs::metrics().counter("cp.nogoods_hits").add(store_.hits());
-    obs::metrics().counter("cp.restarts").add(restarts_);
-    obs::metrics().counter("cp.activity_rebuilds").add(activity_rebuilds_);
   }
 
   if (!have_best_) {
@@ -845,9 +582,6 @@ Result<SynthesisResult> CpSearch::run() {
   out.stats.runtime_s = timer.seconds();
   out.stats.nodes = nodes_;
   out.stats.proven_optimal = !truncated_;
-  out.stats.nogoods_recorded = store_.recorded();
-  out.stats.nogood_hits = store_.hits();
-  out.stats.restarts = restarts_;
   if (obs::metrics_enabled()) {
     // A lone full-space search proves globally on exhaustion. A partition
     // racer (stride > 1) or a racer pruning against a shared incumbent
@@ -864,9 +598,7 @@ Result<SynthesisResult> CpSearch::run() {
     obs::search_event("cp_done",
                       {{"proven", json::Value{out.stats.proven_optimal}},
                        {"nodes", json::Value{nodes_}},
-                       {"obj", json::Value{out.objective}},
-                       {"restarts", json::Value{restarts_}},
-                       {"nogoods", json::Value{store_.recorded()}}});
+                       {"obj", json::Value{out.objective}}});
   }
   return out;
 }

@@ -1,45 +1,19 @@
 #pragma once
 
 /// \file cp_search.hpp
-/// \brief The learning CP search behind solve_cp() (cp_engine.hpp).
+/// \brief The CP search behind solve_cp() (cp_engine.hpp).
 ///
-/// The core is still the exact branch & bound of the seed engine — flows in
-/// a conflicted-first static order, per flow bind pins / pick a candidate
-/// path / pick a flow set, prune with an admissible suffix-length bound —
-/// extended with the learning machinery (enabled by default through
-/// EngineParams, each piece with an escape hatch):
+/// A chronological, exact branch & bound: flows in a conflicted-first
+/// static order; per flow bind pins, pick a candidate path, pick a flow
+/// set; prune with an admissible suffix-length bound against the incumbent
+/// (and the portfolio's shared incumbent when racing). A dive that
+/// exhausts its space within budget has proven its answer.
 ///
-///  * Trail + refutation frames: every decision pushes a literal
-///    (cp_nogoods.hpp) onto a trail; alternatives whose subtree was fully
-///    refuted are parked in a per-depth frame.
-///  * Luby restarts (cp_restarts): runs are budgeted cp_restart_base *
-///    luby(run) nodes. When a run's budget expires, the surviving trail
-///    prefix + each refuted alternative become recorded nogoods ("reduced
-///    nld-nogoods"), the incumbent and store are kept, and the search
-///    restarts. A run that completes within budget has exhausted the
-///    (reduced) space: the result is proven.
-///  * Nogood consultation: before any decision literal is pushed the store
-///    is asked whether it is blocked; blocked alternatives count as refuted
-///    immediately, which re-derives shorter nogoods at the next restart.
-///  * Activity-based value ordering (cp_activity_decay): literals of
-///    recorded nogoods bump their (module, pin) / path activities, decayed
-///    geometrically per restart. From the second run on, candidate pins and
-///    paths are tried activity-first instead of the static greedy order —
-///    the first run keeps the greedy dive that seeds the incumbent. The
-///    *variable* (flow) order stays fixed across restarts on purpose: the
-///    flow-set numbering is canonicalized first-fit along that order, so
-///    reordering flows would change the enumerated solution space and
-///    silently invalidate recorded nogoods.
-///  * Lex-leader symmetry breaking (cp_symmetry, unfixed policy): bindings
-///    must be lexicographically minimal under the verified automorphisms of
-///    (topology, path set) (cp_symmetry.hpp), generalizing the seed's
-///    quarter-turn rule; when no symmetry verifies, the seed's quarter-turn
-///    restriction is kept as the fallback.
-///
-/// Learning applies to the fixed and unfixed policies (whole-space dives).
-/// The clockwise policy's partitioned cyclic-order enumeration keeps the
-/// seed behavior: its outer loop is sliced across portfolio racers, and a
-/// per-slice node budget would make "proven" ambiguous.
+/// For the unfixed policy, lex-leader symmetry breaking (cp_symmetry)
+/// restricts bindings to those lexicographically minimal under the
+/// verified automorphisms of (topology, path set) (cp_symmetry.hpp),
+/// generalizing the seed's quarter-turn rule; when no symmetry verifies,
+/// the quarter-turn restriction is kept as the fallback.
 
 #include "arch/paths.hpp"
 #include "arch/topology.hpp"
@@ -49,10 +23,7 @@
 
 namespace mlsi::synth {
 
-/// The Luby restart sequence 1,1,2,1,1,2,4,1,... (1-based).
-[[nodiscard]] long luby(long i);
-
-/// Runs the (learning) CP search. Called by solve_cp() after validation.
+/// Runs the CP search. Called by solve_cp() after validation.
 [[nodiscard]] Result<SynthesisResult> run_cp_search(
     const arch::SwitchTopology& topo, const arch::PathSet& paths,
     const ProblemSpec& spec, const EngineParams& params);

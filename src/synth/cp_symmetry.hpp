@@ -24,9 +24,7 @@
 ///    verified symmetry makes the (partial) binding lexicographically
 ///    smaller w.r.t. a *fixed* module comparison order. The lex-minimal
 ///    member of every solution orbit always survives, so the optimum is
-///    preserved; the fixed order keeps the reduced space identical across
-///    restarts, which is what makes the pruning composable with recorded
-///    nogoods (cp_nogoods.hpp).
+///    preserved.
 
 #include <vector>
 

@@ -4,9 +4,10 @@
 /// \brief Shared interface and registry of the synthesis engines.
 ///
 /// All engines solve the same problem exactly:
-///  * "cp" (cp_engine.hpp) — dedicated branch & bound over (binding,
-///    path, flow-set) assignments with incremental constraint checks; fast
-///    on every policy and the production choice.
+///  * "cp" (cp_engine.hpp) — dedicated chronological branch & bound over
+///    (binding, path, flow-set) assignments with incremental constraint
+///    checks and, for unfixed bindings, verified symmetry breaking; fast on
+///    every policy and the production choice.
 ///  * "iqp" (iqp_engine.hpp) — faithful reconstruction of the paper's
 ///    IQP, constraints (3.1)-(3.13), solved with mlsi::opt (the in-repo
 ///    Gurobi substitute). Tractable for fixed-policy models of any size and
@@ -57,25 +58,14 @@ struct EngineParams {
   /// its deadline/stop are tightened to the engine's own before use.
   opt::MilpParams milp;
 
-  // --- learning CP search (cp engine; cp_search.hpp) ----------------------
+  // --- CP search (cp engine; cp_search.hpp) -------------------------------
 
-  /// Luby restarts + nogood recording for the fixed/unfixed CP dives. Off
-  /// runs a single chronological dive with no learning.
-  bool cp_restarts = true;
   /// Binding symmetry breaking for the unfixed policy: lex-leader orbit
   /// pruning from verified switch automorphisms, falling back to the seed's
   /// quarter-turn restriction when no symmetry verifies. Off disables
   /// binding symmetry breaking entirely (the ablation baseline of
   /// bench/cp_unfixed) — the full binding space is enumerated.
   bool cp_symmetry = true;
-  /// Node budget of the first Luby run; run r gets cp_restart_base*luby(r),
-  /// floored at half the nodes spent so far (completeness: a run big enough
-  /// to exhaust the remaining space always arrives).
-  long cp_restart_base = 2048;
-  /// Nogood store capacity; lowest-activity entries are evicted past it.
-  int cp_nogood_limit = 20000;
-  /// Geometric per-restart decay of nogood and value-ordering activities.
-  double cp_activity_decay = 0.95;
 
   // --- portfolio internals (set by solve_portfolio on its racers) ---------
 

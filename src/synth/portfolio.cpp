@@ -179,9 +179,6 @@ Result<SynthesisResult> solve_portfolio(const arch::SwitchTopology& topo,
   long total_cuts_generated = 0;
   long total_cuts_applied = 0;
   long total_cuts_dropped = 0;
-  long total_nogoods_recorded = 0;
-  long total_nogood_hits = 0;
-  long total_restarts = 0;
   int best = -1;
   bool all_exact = true;   // every racer that had to finish did, exactly
   bool any_truncated = false;
@@ -206,9 +203,6 @@ Result<SynthesisResult> solve_portfolio(const arch::SwitchTopology& topo,
       total_cuts_generated += outcome->stats.cuts_generated;
       total_cuts_applied += outcome->stats.cuts_applied;
       total_cuts_dropped += outcome->stats.cuts_dropped;
-      total_nogoods_recorded += outcome->stats.nogoods_recorded;
-      total_nogood_hits += outcome->stats.nogood_hits;
-      total_restarts += outcome->stats.restarts;
       if (!outcome->stats.proven_optimal) any_truncated = true;
       if (best < 0 ||
           improves(*outcome, *outcomes[static_cast<std::size_t>(best)])) {
@@ -247,9 +241,6 @@ Result<SynthesisResult> solve_portfolio(const arch::SwitchTopology& topo,
     out.stats.cuts_generated = total_cuts_generated;
     out.stats.cuts_applied = total_cuts_applied;
     out.stats.cuts_dropped = total_cuts_dropped;
-    out.stats.nogoods_recorded = total_nogoods_recorded;
-    out.stats.nogood_hits = total_nogood_hits;
-    out.stats.restarts = total_restarts;
     out.stats.runtime_s = timer.seconds();
     if (obs::metrics_enabled()) {
       obs::metrics().counter("portfolio.races").add();

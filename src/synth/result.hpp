@@ -45,10 +45,9 @@ struct EngineStats {
   long cuts_generated = 0;    ///< Gomory rows derived at MILP roots
   long cuts_applied = 0;      ///< cut rows appended to the relaxations
   long cuts_dropped = 0;      ///< cut rows filtered by the pool
-  // Learning-CP telemetry (nonzero only on cp-engine paths with restarts).
-  long nogoods_recorded = 0;  ///< nogoods recorded at Luby restarts
-  long nogood_hits = 0;       ///< decisions pruned by the nogood store
-  long restarts = 0;          ///< Luby restarts performed
+  // Always 0 (no engine restarts or learns); kept for existing readers.
+  long nogood_hits = 0;
+  long restarts = 0;
 };
 
 struct SynthesisResult {

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cases/artificial.hpp"
 #include "obs/flight_rec.hpp"
 #include "io/case_io.hpp"
@@ -593,10 +595,11 @@ TEST(ServerTest, ExpiredDeadlineIsRejectedAtDequeue) {
 
 // A deadline-blown request is exactly the "wedged service" evidence the
 // flight recorder exists for: when the recorder is armed with a dump
-// path, the rejection must leave a JSONL trail behind.
+// path, the rejection must leave a JSONL trail behind. The path carries the
+// pid so concurrent runs of this binary do not remove each other's dump.
 TEST(ServerTest, DeadlineBlownRequestDumpsFlightRecorder) {
-  const std::string path =
-      ::testing::TempDir() + "serve_deadline_flight.jsonl";
+  const std::string path = ::testing::TempDir() + "serve_deadline_flight." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   obs::FlightRecorder& rec = obs::FlightRecorder::instance();
   rec.enable();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ostream>
 #include <thread>
 
 #include "cases/cases.hpp"
@@ -167,6 +168,10 @@ struct PortfolioCase {
   ProblemSpec (*make)(BindingPolicy);
   BindingPolicy policy;
 };
+
+// Without this gtest lists the case as its raw bytes, pointers included,
+// so the test names ctest discovers would change from build to build.
+void PrintTo(const PortfolioCase& c, std::ostream* os) { *os << c.name; }
 
 class PortfolioParityTest : public ::testing::TestWithParam<PortfolioCase> {};
 

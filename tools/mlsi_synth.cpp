@@ -10,18 +10,10 @@
 //                                      (default 0 = all hardware threads)
 //   --time-limit <seconds>             wall budget (default 120)
 //   --pressure off|greedy|ilp          pressure sharing (default ilp)
-//   --cp-restarts on|off               Luby restarts + nogood learning in
-//                                      the cp engine (default on; off is
-//                                      the plain chronological dive)
 //   --cp-symmetry on|off               binding symmetry breaking (unfixed)
 //                                      from verified switch automorphisms
-//                                      (default on; off keeps the seed's
-//                                      quarter-turn rule)
-//   --cp-restart-base N                node budget of the first Luby run
-//                                      (default 2048)
-//   --cp-nogood-limit N                nogood store capacity (default 20000)
-//   --cp-activity-decay X              per-restart activity decay in (0,1]
-//                                      (default 0.95)
+//                                      (default on; off enumerates the full
+//                                      binding space)
 //   --no-reduction                     keep a valve on every used segment
 //   --svg <path>                       write the synthesized switch drawing
 //   --control <path>                   route the control layer, write overlay
@@ -68,9 +60,7 @@ int usage(const char* argv0) {
       "usage: %s <case.json> [--policy fixed|clockwise|unfixed]\n"
       "       [--engine cp|iqp|portfolio] [--jobs N] [--time-limit S]\n"
       "       [--pressure off|greedy|ilp] [--no-reduction]\n"
-      "       [--cp-restarts on|off] [--cp-symmetry on|off]\n"
-      "       [--cp-restart-base N] [--cp-nogood-limit N]\n"
-      "       [--cp-activity-decay X] [--svg F]\n"
+      "       [--cp-symmetry on|off] [--svg F]\n"
       "       [--control F] [--json F] [--export-lp F] [--trace-out F]\n"
       "       [--metrics-out F] [--search-log F] [--quiet]\n",
       argv0);
@@ -119,38 +109,12 @@ Status parse_options(support::ArgParser& args, synth::SynthesisOptions& synth,
   if (args.flag("--no-reduction")) {
     synth.reduction = synth::ValveReductionRule::kNone;
   }
-  const auto on_off = [&](const char* name, bool* out) -> Status {
-    if (const auto v = args.option(name)) {
-      if (*v == "on") {
-        *out = true;
-      } else if (*v == "off") {
-        *out = false;
-      } else {
-        return Status::InvalidArgument(
-            cat(name, " expects on|off, got '", *v, "'"));
-      }
+  if (const auto v = args.option("--cp-symmetry")) {
+    if (*v != "on" && *v != "off") {
+      return Status::InvalidArgument(
+          cat("--cp-symmetry expects on|off, got '", *v, "'"));
     }
-    return Status::Ok();
-  };
-  if (const Status s = on_off("--cp-restarts", &synth.engine_params.cp_restarts);
-      !s.ok()) {
-    return s;
-  }
-  if (const Status s = on_off("--cp-symmetry", &synth.engine_params.cp_symmetry);
-      !s.ok()) {
-    return s;
-  }
-  synth.engine_params.cp_restart_base = static_cast<long>(args.number(
-      "--cp-restart-base",
-      static_cast<double>(synth.engine_params.cp_restart_base)));
-  synth.engine_params.cp_nogood_limit = static_cast<int>(args.number(
-      "--cp-nogood-limit",
-      static_cast<double>(synth.engine_params.cp_nogood_limit)));
-  synth.engine_params.cp_activity_decay = args.number(
-      "--cp-activity-decay", synth.engine_params.cp_activity_decay);
-  if (synth.engine_params.cp_activity_decay <= 0.0 ||
-      synth.engine_params.cp_activity_decay > 1.0) {
-    return Status::InvalidArgument("--cp-activity-decay must be in (0, 1]");
+    synth.engine_params.cp_symmetry = *v == "on";
   }
   tool.policy_override = args.option("--policy").value_or("");
   tool.svg_path = args.option("--svg").value_or("");
