@@ -4,10 +4,10 @@
 // in the pieces every table/figure bench leans on.
 //
 // `micro_opt --smoke` skips the timed benchmarks and instead runs the
-// perf-regression gate wired into scripts/check.sh: devex pricing must
-// match Dantzig objectives on the 400-column suite while spending at most
-// 80% of its pivots, and the parallel branch & bound must prove the same
-// knapsack optimum at jobs 1, 2 and 8.
+// regression gate wired into scripts/check.sh: on the 400-column suite the
+// devex simplex must take exactly its pinned pivot total and match every
+// status and objective of the dense oracle, and the parallel branch & bound
+// must prove the same knapsack optimum at jobs 1, 2 and 8.
 
 #include <benchmark/benchmark.h>
 
@@ -76,26 +76,6 @@ void BM_SimplexRandomLpDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexRandomLpDense)->Arg(20)->Arg(60)->Arg(150)->Arg(400);
-
-// Head-to-head pricing-rule comparison on the same instance; the per-solve
-// pivot count is exported as a counter so `--benchmark_format=json` runs
-// capture the iteration reduction, not just wall time.
-void BM_SimplexPricing(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto lp = random_lp(n, n / 2, 42);
-  opt::LpParams params;
-  params.pricing = static_cast<opt::LpPricing>(state.range(1));
-  long iters = 0;
-  for (auto _ : state) {
-    const auto res = opt::solve_lp(lp, params);
-    iters = res.iterations;
-    benchmark::DoNotOptimize(res.objective);
-  }
-  state.counters["pivots"] = static_cast<double>(iters);
-}
-BENCHMARK(BM_SimplexPricing)
-    ->ArgsProduct({{150, 400}, {0, 1, 2}})
-    ->ArgNames({"n", "rule"});  // rule: 0 dantzig, 1 devex, 2 steepest-edge
 
 // Hard correlated knapsack: value ~ weight + noise keeps the LP bound weak,
 // so the tree is deep enough for the parallel search to matter.
@@ -260,34 +240,35 @@ bool smoke_fail(const char* what) {
   return false;
 }
 
-// Devex must reproduce Dantzig's objectives on the 400-column suite while
-// cutting the pivot count by at least 20% in aggregate (the measured
-// reduction is ~35–45%; 20% leaves headroom for instance noise while still
-// catching a broken weight update, which regresses to ~0%).
-bool smoke_pricing() {
-  long dantzig = 0;
+// Devex pivot total over the eight 400 × 200 instances, pinned exactly: the
+// simplex is deterministic, and an altered weight update or pricing scan
+// changes the total.
+constexpr long kSmokeDevexPivots = 14676;
+
+// The devex simplex must take exactly the pinned pivot total and agree with
+// the dense oracle on every status and objective.
+bool smoke_devex() {
   long devex = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto lp = random_lp(400, 200, seed);
-    opt::LpParams pd;
-    pd.pricing = opt::LpPricing::kDantzig;
-    const auto rd = opt::solve_lp(lp, pd);
-    opt::LpParams pv;
-    pv.pricing = opt::LpPricing::kDevex;
-    const auto rv = opt::solve_lp(lp, pv);
-    if (rd.status != rv.status) return smoke_fail("pricing status mismatch");
+    const auto rv = opt::solve_lp(lp);
+    opt::LpParams dense;
+    dense.use_dense = true;
+    const auto rd = opt::solve_lp(lp, dense);
+    if (rd.status != rv.status) {
+      return smoke_fail("devex status differs from the dense oracle");
+    }
     if (rd.status == opt::LpStatus::kOptimal &&
         std::fabs(rd.objective - rv.objective) >
             1e-6 * (1.0 + std::fabs(rd.objective))) {
-      return smoke_fail("devex objective diverges from dantzig");
+      return smoke_fail("devex objective differs from the dense oracle");
     }
-    dantzig += rd.iterations;
     devex += rv.iterations;
   }
-  std::printf("smoke pricing: dantzig %ld pivots, devex %ld pivots (%.1f%%)\n",
-              dantzig, devex, 100.0 * devex / dantzig);
-  if (devex > static_cast<long>(0.8 * static_cast<double>(dantzig))) {
-    return smoke_fail("devex pivot budget regressed (> 80% of dantzig)");
+  std::printf("smoke devex: %ld pivots (pinned %ld), dense oracle agrees\n",
+              devex, kSmokeDevexPivots);
+  if (devex != kSmokeDevexPivots) {
+    return smoke_fail("devex pivot total differs from the pinned count");
   }
   return true;
 }
@@ -316,9 +297,9 @@ bool smoke_parallel() {
 }
 
 int run_smoke() {
-  const bool pricing_ok = smoke_pricing();
+  const bool devex_ok = smoke_devex();
   const bool parallel_ok = smoke_parallel();
-  const bool ok = pricing_ok && parallel_ok;
+  const bool ok = devex_ok && parallel_ok;
   std::printf("micro_opt --smoke: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 verification: full build + test suite, a bench smoke run against a
-# known optimum, perf smokes (simplex pricing, serving cache speedup), an
+# known optimum, perf smokes (devex pivot count, serving cache speedup), an
 # observability smoke run (trace/metrics/search-log formats validated by
 # obs_check), a serving replay (persistent cache across a daemon restart),
 # a live-service smoke (socket daemon + serve_throughput client load +
@@ -27,9 +27,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # and pass the contamination-free flow simulation.
 build/bench/table_4_1 --smoke
 
-# Perf smoke: devex pricing must keep its pivot-count edge over Dantzig on
-# the 400-column suite (same objectives, <= 80% of the pivots), and the
-# parallel branch & bound must prove the identical optimum at jobs 1/2/8.
+# Perf smoke: on the 400-column suite the devex simplex must take exactly
+# its pinned pivot total (14,676) and match the dense oracle's status and
+# objective on every instance, and the parallel branch & bound must prove
+# the identical optimum at jobs 1/2/8.
 cmake --build build -j "$(nproc)" --target micro_opt
 build/bench/micro_opt --smoke
 

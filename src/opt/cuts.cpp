@@ -13,6 +13,24 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Maximum cuts returned per generation round.
+constexpr int kMaxCuts = 32;
+/// Basic values closer than this to an integer generate no cut (the
+/// resulting GMI row would be all-noise).
+constexpr double kMinFractionality = 0.005;
+/// Minimum normalized violation (cut distance to the fractional vertex,
+/// scaled by the coefficient 2-norm) for a cut to enter the pool.
+constexpr double kMinViolation = 1e-4;
+/// Pairwise cosine above which two cuts are considered duplicates; the
+/// more violated one wins.
+constexpr double kMaxParallelism = 0.95;
+/// Discard cuts whose |coef| max/min ratio exceeds this (ill-scaled rows
+/// hurt the LU more than the bound improvement helps).
+constexpr double kMaxDynamism = 1e7;
+/// Coefficients below this (relative to the largest) are dropped with a
+/// validity-preserving rhs compensation.
+constexpr double kDropTol = 1e-11;
+
 double frac(double v) { return v - std::floor(v); }
 
 bool is_integer_valued(double v) { return std::fabs(v - std::nearbyint(v)) <= 1e-9; }
@@ -30,7 +48,6 @@ struct RawCut {
 std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
                                         const LpResult& root,
                                         const std::vector<char>& is_integral,
-                                        const CutParams& params,
                                         CutStats* stats) {
   CutStats local;
   std::vector<LpRow> out;
@@ -95,20 +112,20 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
   }
 
   // Candidate rows: basic *structural* integer variables, most fractional
-  // first, bounded well inside (min_fractionality, 1 - min_fractionality).
+  // first, at least kMinFractionality away from either integer.
   std::vector<std::pair<double, int>> candidates;  // (-frac distance, row)
   for (int r = 0; r < m; ++r) {
     const int b = basis[static_cast<std::size_t>(r)];
     if (b >= n || !is_integral[static_cast<std::size_t>(b)]) continue;
     const double f0 = frac(xb[static_cast<std::size_t>(r)]);
     const double dist = std::min(f0, 1.0 - f0);
-    if (dist < params.min_fractionality) continue;
+    if (dist < kMinFractionality) continue;
     candidates.emplace_back(-dist, r);
   }
   std::sort(candidates.begin(), candidates.end());
-  const int row_budget = std::max(params.max_cuts * 4, 16);
-  if (static_cast<int>(candidates.size()) > row_budget) {
-    candidates.resize(static_cast<std::size_t>(row_budget));
+  constexpr int kRowBudget = 4 * kMaxCuts;
+  if (static_cast<int>(candidates.size()) > kRowBudget) {
+    candidates.resize(static_cast<std::size_t>(kRowBudget));
   }
 
   std::vector<double> rho(static_cast<std::size_t>(m));
@@ -193,7 +210,7 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
       ++local.dropped;
       continue;
     }
-    const double drop_below = max_abs * params.drop_tol;
+    const double drop_below = max_abs * kDropTol;
     double min_abs = kInf;
     double norm2 = 0.0;
     bool valid = true;
@@ -214,7 +231,7 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
       min_abs = std::min(min_abs, std::fabs(c));
       norm2 += c * c;
     }
-    if (!valid || norm2 <= 0.0 || max_abs / min_abs > params.max_dynamism) {
+    if (!valid || norm2 <= 0.0 || max_abs / min_abs > kMaxDynamism) {
       ++local.dropped;
       continue;
     }
@@ -231,7 +248,7 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
           cut.coef[static_cast<std::size_t>(j)] * xval[static_cast<std::size_t>(j)];
     }
     cut.violation = (cut.rhs - activity) / cut.norm;
-    if (cut.violation < params.min_violation) {
+    if (cut.violation < kMinViolation) {
       ++local.dropped;
       continue;
     }
@@ -245,7 +262,7 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
             });
   std::vector<const RawCut*> kept;
   for (const RawCut& cut : pool) {
-    if (static_cast<int>(kept.size()) >= params.max_cuts) {
+    if (static_cast<int>(kept.size()) >= kMaxCuts) {
       ++local.dropped;
       continue;
     }
@@ -256,7 +273,7 @@ std::vector<LpRow> generate_gomory_cuts(const LpProblem& lp,
         dot += cut.coef[static_cast<std::size_t>(j)] *
                other->coef[static_cast<std::size_t>(j)];
       }
-      if (std::fabs(dot) / (cut.norm * other->norm) > params.max_parallelism) {
+      if (std::fabs(dot) / (cut.norm * other->norm) > kMaxParallelism) {
         parallel = true;
         break;
       }

@@ -14,15 +14,15 @@
 /// definitions, so the returned rows can be appended to any LpProblem (or
 /// a Model) without referencing solver internals.
 ///
-/// Numerics follow the usual safe-rounding playbook: rows whose basic
-/// fractionality sits outside [min_fractionality, 1 - min_fractionality]
-/// are skipped, near-zero cut coefficients are dropped with an rhs
-/// compensation that keeps the cut valid (weaker, never wrong), cuts with
-/// extreme coefficient dynamism are discarded, and every surviving rhs is
-/// relaxed by a relative epsilon. The pool is then filtered: cuts must cut
-/// off the fractional vertex by at least min_violation (normalized), and
-/// near-parallel cuts are deduplicated keeping the most violated first,
-/// capped at max_cuts.
+/// Numerics follow the usual safe-rounding playbook: rows whose basic value
+/// lies within 0.005 of an integer are skipped, cut coefficients below
+/// 1e-11 of the largest are dropped with an rhs compensation that keeps the
+/// cut valid (weaker, never wrong), cuts whose |coef| max/min ratio exceeds
+/// 1e7 are discarded, and every surviving rhs is relaxed by a relative
+/// epsilon. The pool is then filtered: cuts must cut off the fractional
+/// vertex by at least 1e-4 (normalized), and cuts with pairwise cosine
+/// above 0.95 are deduplicated keeping the most violated first, at most 32
+/// per round. These values are fixed constants in cuts.cpp.
 ///
 /// Cuts generated at the branch & bound *root* are valid for the whole
 /// tree (the derivation only uses global bounds and integrality).
@@ -32,26 +32,6 @@
 #include "opt/simplex.hpp"
 
 namespace mlsi::opt {
-
-struct CutParams {
-  /// Maximum cuts returned per generation round.
-  int max_cuts = 32;
-  /// Basic values closer than this to an integer generate no cut (the
-  /// resulting GMI row would be all-noise).
-  double min_fractionality = 0.005;
-  /// Minimum normalized violation (cut distance to the fractional vertex,
-  /// scaled by the coefficient 2-norm) for a cut to enter the pool.
-  double min_violation = 1e-4;
-  /// Pairwise cosine above which two cuts are considered duplicates; the
-  /// more violated one wins.
-  double max_parallelism = 0.95;
-  /// Discard cuts whose |coef| max/min ratio exceeds this (ill-scaled rows
-  /// hurt the LU more than the bound improvement helps).
-  double max_dynamism = 1e7;
-  /// Coefficients below this (relative to the largest) are dropped with a
-  /// validity-preserving rhs compensation.
-  double drop_tol = 1e-11;
-};
 
 struct CutStats {
   long generated = 0;  ///< raw GMI rows derived before filtering
@@ -66,7 +46,6 @@ struct CutStats {
 /// be refactorized cleanly or nothing useful is fractional.
 [[nodiscard]] std::vector<LpRow> generate_gomory_cuts(
     const LpProblem& lp, const LpResult& root,
-    const std::vector<char>& is_integral, const CutParams& params,
-    CutStats* stats = nullptr);
+    const std::vector<char>& is_integral, CutStats* stats = nullptr);
 
 }  // namespace mlsi::opt

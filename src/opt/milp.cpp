@@ -42,6 +42,24 @@ int Solution::value_int(Var v) const {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Safety limit on branch & bound nodes per solve; reaching it truncates
+/// the search like a deadline.
+constexpr long kMaxNodes = 50'000'000;
+/// Values within this of an integer count as integral.
+constexpr double kIntTol = 1e-6;
+/// Nodes whose LP bound is within this of the incumbent are pruned. It
+/// stays below the smallest possible objective difference for exact
+/// optimality (the synthesis objectives are integer-valued scaled sums).
+constexpr double kAbsGap = 1e-6;
+
+/// Adds the LP counters solve_lp_on accumulates from \p from into \p into.
+void add_lp_counters(SolveStats& into, const SolveStats& from) {
+  into.lp_iterations += from.lp_iterations;
+  into.lp_dual_iterations += from.lp_dual_iterations;
+  into.lp_factorizations += from.lp_factorizations;
+  into.warm_starts += from.warm_starts;
+  into.cold_starts += from.cold_starts;
+}
 
 /// Branch & bound search state over a linearized model.
 ///
@@ -206,14 +224,14 @@ int BranchAndBound::pick_branch_var(const std::vector<double>& x) const {
   constexpr double kBranchTieTol = 1e-9;
   int best = -1;
   int best_priority = std::numeric_limits<int>::min();
-  double best_frac_dist = params_.int_tol;
+  double best_frac_dist = kIntTol;
   for (int j = 0; j < model_.num_vars(); ++j) {
     const VarInfo& info = model_.var(Var{j});
     if (!info.is_integral()) continue;
     const double v = x[static_cast<std::size_t>(j)];
     const double frac = v - std::floor(v);
     const double dist = std::min(frac, 1.0 - frac);  // distance to integer
-    if (dist <= params_.int_tol) continue;
+    if (dist <= kIntTol) continue;
     // 1. highest branch_priority class; 2. most fractional (strictly, by
     // more than kBranchTieTol); 3. lowest index — the ascending scan keeps
     // the incumbent candidate on ties.
@@ -329,7 +347,7 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
                                        std::deque<Node>* spill) {
   BranchAndBound& bb = *owner_;
   if (bb.params_.deadline.expired() || bb.params_.stop.stop_requested() ||
-      bb.node_count_.load(std::memory_order_relaxed) >= bb.params_.max_nodes) {
+      bb.node_count_.load(std::memory_order_relaxed) >= kMaxNodes) {
     bb.truncated_.store(true, std::memory_order_relaxed);
     return false;
   }
@@ -373,8 +391,8 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
     return false;
   }
 
-  if (lp.objective >= bb.best_obj_min_.load(std::memory_order_relaxed) -
-                          bb.params_.abs_gap) {
+  if (lp.objective >=
+      bb.best_obj_min_.load(std::memory_order_relaxed) - kAbsGap) {
     if (obs::search_log_enabled()) {
       obs::search_event("prune", {{"node", json::Value{node}},
                                   {"reason", json::Value{"bound"}}});
@@ -474,7 +492,7 @@ LpResult BranchAndBound::solve_root() {
       if (pick_branch_var(root.x) < 0) break;  // already integral
       CutStats cs;
       std::vector<LpRow> cuts =
-          generate_gomory_cuts(lp_, root, is_integral, params_.cuts, &cs);
+          generate_gomory_cuts(lp_, root, is_integral, &cs);
       stats_.cuts_generated += cs.generated;
       stats_.cuts_dropped += cs.dropped;
       if (cuts.empty()) break;
@@ -591,11 +609,7 @@ Solution BranchAndBound::run() {
       frontier.pop_front();
       if (!searcher.run_node(node, nullptr)) break;
     }
-    stats_.lp_iterations += searcher.local.lp_iterations;
-    stats_.lp_dual_iterations += searcher.local.lp_dual_iterations;
-    stats_.lp_factorizations += searcher.local.lp_factorizations;
-    stats_.warm_starts += searcher.local.warm_starts;
-    stats_.cold_starts += searcher.local.cold_starts;
+    add_lp_counters(stats_, searcher.local);
     finalize(out, timer);
     return out;
   }
@@ -635,20 +649,12 @@ Solution BranchAndBound::run() {
           if (!searcher.run_node(node, nullptr)) break;
         }
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.lp_iterations += searcher.local.lp_iterations;
-        stats_.lp_dual_iterations += searcher.local.lp_dual_iterations;
-        stats_.lp_factorizations += searcher.local.lp_factorizations;
-        stats_.warm_starts += searcher.local.warm_starts;
-        stats_.cold_starts += searcher.local.cold_starts;
+        add_lp_counters(stats_, searcher.local);
       });
     }
     pool.wait_idle();
   }  // joins the workers
-  stats_.lp_iterations += expander.local.lp_iterations;
-  stats_.lp_dual_iterations += expander.local.lp_dual_iterations;
-  stats_.lp_factorizations += expander.local.lp_factorizations;
-  stats_.warm_starts += expander.local.warm_starts;
-  stats_.cold_starts += expander.local.cold_starts;
+  add_lp_counters(stats_, expander.local);
   finalize(out, timer);
   return out;
 }

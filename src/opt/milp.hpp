@@ -10,6 +10,13 @@
 /// root relaxation for MilpParams::cut_rounds rounds; root cuts are globally
 /// valid, so the tree inherits the stronger bound for free.
 ///
+/// The search tolerances are fixed constants in milp.cpp: a value within
+/// 1e-6 of an integer counts as integral, a node whose LP bound is within
+/// 1e-6 of the incumbent is pruned (below the smallest objective difference
+/// of the integer-valued synthesis objectives, so optimality stays exact),
+/// and a solve stops after 50M nodes as a safety limit (reported as
+/// kFeasible/kUnknown, like a deadline).
+///
 /// With MilpParams::jobs == 1 (the default) the search is the classic
 /// serial DFS: constant memory, early incumbents, children dual-warm-started
 /// from the parent basis. With jobs > 1 the root subtree is expanded
@@ -27,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "opt/cuts.hpp"
 #include "opt/model.hpp"
 #include "opt/simplex.hpp"
 #include "support/timer.hpp"
@@ -89,12 +95,6 @@ struct MilpParams {
   /// Cooperative cancellation: checked at every B&B node and LP pivot; the
   /// search unwinds with its best incumbent (kFeasible/kUnknown).
   support::StopToken stop;
-  long max_nodes = 50'000'000;
-  double int_tol = 1e-6;
-  /// Nodes whose LP bound is within this of the incumbent are pruned.
-  /// Keep it below the smallest possible objective difference for exact
-  /// optimality (the synthesis objectives are integer-valued scaled sums).
-  double abs_gap = 1e-6;
   /// Run the presolve reductions (opt/presolve.hpp) before the search.
   bool presolve = true;
   /// Rounds of Gomory mixed-integer cut generation at the root; each round
@@ -102,8 +102,6 @@ struct MilpParams {
   /// basis. 0 disables cutting. Cuts are root-only: they strengthen the
   /// global relaxation, so they stay valid in every subtree.
   int cut_rounds = 3;
-  /// Generation/filtering knobs for the root cuts (cuts.hpp).
-  CutParams cuts;
   /// Worker threads for the tree search: 1 (default) = serial DFS, n > 1 =
   /// n DFS workers over a breadth-first frontier with a shared incumbent,
   /// <= 0 = hardware parallelism. The proven optimum is identical at every

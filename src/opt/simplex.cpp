@@ -22,8 +22,8 @@ constexpr double kRateTol = 1e-9;
 constexpr double kAlphaTol = 1e-9;
 /// Pivots between full recomputations of the basic values (drift cap).
 constexpr int kValueRefreshInterval = 64;
-/// Devex/steepest-edge weights beyond this trigger a reference-framework
-/// reset (the approximation has drifted far from any plausible norm).
+/// Devex weights beyond this trigger a reference-framework reset (the
+/// approximation has drifted far from any plausible norm).
 constexpr double kWeightResetLimit = 1e8;
 
 /// Sparse revised bounded-variable simplex (see simplex.hpp for the method
@@ -64,7 +64,7 @@ class RevisedSimplex {
   [[nodiscard]] bool is_basic(int j) const { return basic_row_[j] >= 0; }
   [[nodiscard]] double infeasibility() const;
   [[nodiscard]] double objective_value() const;
-  /// Counts one iteration against max_iters / deadline / stop.
+  /// Counts one iteration against kLpMaxIters / deadline / stop.
   [[nodiscard]] bool budget_exhausted();
 
   // --- pricing -------------------------------------------------------------
@@ -74,25 +74,17 @@ class RevisedSimplex {
   };
   /// Picks an entering column. Phase 1 prices the infeasibility gradient
   /// g_j = a_j·B^{-T}s (s = ±1 per violated basic row); phase 2 prices the
-  /// reduced costs d_j = c_j - a_j·B^{-T}c_B. Dantzig mode does sectioned
-  /// partial pricing with a rotating cursor; devex/steepest-edge score
-  /// every attractive column by d_j²/w_j against the reference weights.
-  /// Bland mode scans everything and returns the smallest attractive index
+  /// reduced costs d_j = c_j - a_j·B^{-T}c_B. Devex scores every
+  /// attractive column by d_j²/w_j against the reference weights. Bland
+  /// mode scans everything and returns the smallest attractive index
   /// (anti-cycling). j = -1 when none qualifies.
   Candidate price(bool phase1, bool bland);
-  /// True when reference weights drive selection (devex / steepest edge,
-  /// outside Bland mode).
-  [[nodiscard]] bool weighted_pricing() const {
-    return params_.pricing != LpPricing::kDantzig;
-  }
-  /// Forrest–Goldfarb update of the primal reference weights for the pivot
-  /// "q enters at row r" (w = B^{-1}a_q against the pre-pivot basis). Must
-  /// run before the LU update. Devex takes one BTRAN (the pivot row);
-  /// steepest edge adds one more for the exact Goldfarb recurrence.
+  /// Forrest–Goldfarb devex update of the primal reference weights for the
+  /// pivot "q enters at row r" (w = B^{-1}a_q against the pre-pivot basis).
+  /// Must run before the LU update; costs one BTRAN (the pivot row).
   void update_primal_weights(int q, int r, const std::vector<double>& w);
   /// Dual mirror: row weights approximating ||B^{-T}e_r||², updated from
-  /// the FTRAN'd entering column (devex) or exactly via one extra FTRAN of
-  /// the pivot row (steepest edge).
+  /// the FTRAN'd entering column.
   void update_dual_weights(int r, double wr, const std::vector<double>& w);
   /// Resets both weight sets to the unit reference framework.
   void reset_weights();
@@ -152,14 +144,12 @@ class RevisedSimplex {
   std::vector<double> w_;         ///< FTRAN'd entering column
   std::vector<double> rho_;       ///< dual: B^{-T} e_r
   std::vector<double> alpha_;     ///< dual: pivot row alpha_j = a_j·rho
-  std::vector<double> tau_;       ///< steepest-edge scratch (2nd BTRAN/FTRAN)
-  std::vector<double> col_weight_;  ///< devex/SE weights, per working column
-  std::vector<double> row_weight_;  ///< dual devex/SE weights, per basis row
+  std::vector<double> col_weight_;  ///< devex weights, per working column
+  std::vector<double> row_weight_;  ///< dual devex weights, per basis row
   /// Scratch for carrying row weights through a refactorization's basis
   /// permutation (indexed by working column).
   std::vector<double> row_weight_work_;
 
-  int cursor_ = 0;  ///< partial-pricing rotation state
   long iters_ = 0;
   long phase1_iters_ = 0;
   long dual_iters_ = 0;
@@ -279,8 +269,8 @@ void RevisedSimplex::factorize_basis() {
   }
   // Reference weights persist across refactorizations: the basis matrix is
   // unchanged (only its factors were rebuilt), so the column weights stay
-  // exact approximations and resetting them to the unit framework would
-  // forfeit steepest-edge's accumulated edge on long solves. factorize()
+  // valid approximations, and resetting them to the unit framework would
+  // throw away what a long solve has built up. factorize()
   // may have permuted basis_, so the row-indexed dual weights are carried
   // through the permutation (row r's weight travels with the column that
   // was basic there). A *repaired* basis is a different matrix — weights
@@ -343,12 +333,12 @@ double RevisedSimplex::objective_value() const {
 }
 
 bool RevisedSimplex::budget_exhausted() {
-  return ++iters_ > params_.max_iters || params_.deadline.expired() ||
+  return ++iters_ > kLpMaxIters || params_.deadline.expired() ||
          params_.stop.stop_requested();
 }
 
 RevisedSimplex::Candidate RevisedSimplex::price(bool phase1, bool bland) {
-  const double ftol = params_.feas_tol;
+  const double ftol = kLpFeasTol;
   y_work_.assign(static_cast<std::size_t>(m_), 0.0);
   if (phase1) {
     // s_r = +1 where the basic value sits below its lower bound, -1 above
@@ -374,7 +364,7 @@ RevisedSimplex::Candidate RevisedSimplex::price(bool phase1, bool bland) {
   }
   lu_.btran(y_work_);
 
-  const double threshold = -(phase1 ? ftol : params_.opt_tol);
+  const double threshold = -(phase1 ? ftol : kLpOptTol);
   const auto score_of = [&](int j, double* dir_out) {
     const double v = phase1 ? mat_.dot_column(j, y_work_)
                             : cost_[j] - mat_.dot_column(j, y_work_);
@@ -402,51 +392,23 @@ RevisedSimplex::Candidate RevisedSimplex::price(bool phase1, bool bland) {
     }
     return best;
   }
-  if (weighted_pricing()) {
-    // Devex / steepest edge: full scan, best d²/w ratio wins. The weights
-    // approximate ||B^{-1}a_j||², so the score is the squared objective
-    // rate per unit of *edge* length — the measure Dantzig pricing ignores
-    // and the reason it zig-zags on degenerate vertices.
-    double best_ratio = 0.0;
-    for (int j = 0; j < cols_; ++j) {
-      if (is_basic(j) || col_span(j) < ftol) continue;
-      double dir;
-      const double s = score_of(j, &dir);
-      if (s >= threshold) continue;
-      const double ratio =
-          s * s / std::max(col_weight_[static_cast<std::size_t>(j)], 1e-12);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best = {j, dir};
-      }
+  // Devex: full scan, best d²/w ratio wins. The weights approximate
+  // ||B^{-1}a_j||², so the score is the squared objective rate per unit of
+  // *edge* length — the measure Dantzig pricing ignores and the reason it
+  // zig-zags on degenerate vertices.
+  double best_ratio = 0.0;
+  for (int j = 0; j < cols_; ++j) {
+    if (is_basic(j) || col_span(j) < ftol) continue;
+    double dir;
+    const double s = score_of(j, &dir);
+    if (s >= threshold) continue;
+    const double ratio =
+        s * s / std::max(col_weight_[static_cast<std::size_t>(j)], 1e-12);
+    if (ratio > best_ratio) {
+      best_ratio = ratio;
+      best = {j, dir};
     }
-    return best;
   }
-  // Sectioned partial pricing: scan fixed-size windows from a rotating
-  // cursor and take the best candidate of the first window holding one.
-  // Spreads pricing work across the column range without giving up the
-  // steepest-in-window choice; a full fruitless rotation proves there is
-  // no attractive column at all.
-  const int section = std::max(32, cols_ / 8);
-  double best_score = threshold;
-  int pos = cursor_;
-  int scanned = 0;
-  while (scanned < cols_) {
-    const int stop = std::min(scanned + section, cols_);
-    for (; scanned < stop; ++scanned) {
-      const int j = pos;
-      pos = pos + 1 == cols_ ? 0 : pos + 1;
-      if (is_basic(j) || col_span(j) < ftol) continue;
-      double dir;
-      const double s = score_of(j, &dir);
-      if (s < best_score) {
-        best_score = s;
-        best = {j, dir};
-      }
-    }
-    if (best.j >= 0) break;
-  }
-  cursor_ = pos;
   return best;
 }
 
@@ -462,15 +424,7 @@ void RevisedSimplex::update_primal_weights(int q, int r,
   rho_.assign(static_cast<std::size_t>(m_), 0.0);
   rho_[static_cast<std::size_t>(r)] = 1.0;
   lu_.btran(rho_);
-  const bool exact = params_.pricing == LpPricing::kSteepestEdge;
-  double gamma_q = col_weight_[static_cast<std::size_t>(q)];
-  if (exact) {
-    // gamma_q = 1 + ||B^{-1}a_q||² is available for free: w IS B^{-1}a_q.
-    gamma_q = 1.0;
-    for (const double wi : w) gamma_q += wi * wi;
-    tau_ = w;
-    lu_.btran(tau_);  // tau = B^{-T}B^{-1}a_q, the Goldfarb cross term
-  }
+  const double gamma_q = col_weight_[static_cast<std::size_t>(q)];
   bool overflow = false;
   for (int j = 0; j < cols_; ++j) {
     if (j == q || is_basic(j)) continue;
@@ -478,16 +432,8 @@ void RevisedSimplex::update_primal_weights(int q, int r,
     if (alpha_j == 0.0) continue;
     const double ratio = alpha_j / alpha_q;
     double& wj = col_weight_[static_cast<std::size_t>(j)];
-    if (exact) {
-      const double beta_j = mat_.dot_column(j, tau_);
-      // Goldfarb recurrence, floored by the norm contribution the pivot
-      // itself guarantees (guards roundoff-negative weights).
-      wj = std::max(wj - 2.0 * ratio * beta_j + ratio * ratio * gamma_q,
-                    1.0 + ratio * ratio);
-    } else {
-      // Forrest–Goldfarb devex: monotone max update within the framework.
-      wj = std::max(wj, ratio * ratio * gamma_q);
-    }
+    // Forrest–Goldfarb devex: monotone max update within the framework.
+    wj = std::max(wj, ratio * ratio * gamma_q);
     if (wj > kWeightResetLimit) overflow = true;
   }
   // The leaving variable joins the nonbasic set along the entering edge.
@@ -506,15 +452,7 @@ void RevisedSimplex::update_dual_weights(int r, double wr,
     reset_weights();
     return;
   }
-  const bool exact = params_.pricing == LpPricing::kSteepestEdge;
-  double gamma_r = row_weight_[static_cast<std::size_t>(r)];
-  if (exact) {
-    // rho_ still holds B^{-T}e_r for this pivot: the exact norm is free.
-    gamma_r = 0.0;
-    for (const double v : rho_) gamma_r += v * v;
-    tau_ = rho_;
-    lu_.ftran(tau_);  // tau = B^{-1}B^{-T}e_r
-  }
+  const double gamma_r = row_weight_[static_cast<std::size_t>(r)];
   bool overflow = false;
   for (int i = 0; i < m_; ++i) {
     if (i == r) continue;
@@ -522,13 +460,7 @@ void RevisedSimplex::update_dual_weights(int r, double wr,
     if (wi == 0.0) continue;
     const double ratio = wi / wr;
     double& g = row_weight_[static_cast<std::size_t>(i)];
-    if (exact) {
-      g = std::max(g - 2.0 * ratio * tau_[static_cast<std::size_t>(i)] +
-                       ratio * ratio * gamma_r,
-                   1e-4);
-    } else {
-      g = std::max(g, ratio * ratio * gamma_r);
-    }
+    g = std::max(g, ratio * ratio * gamma_r);
     if (g > kWeightResetLimit) overflow = true;
   }
   row_weight_[static_cast<std::size_t>(r)] =
@@ -539,7 +471,7 @@ void RevisedSimplex::update_dual_weights(int r, double wr,
 RevisedSimplex::Block RevisedSimplex::ratio_test(const std::vector<double>& w,
                                                  int j, double dir, bool phase1,
                                                  bool bland) const {
-  const double ftol = params_.feas_tol;
+  const double ftol = kLpFeasTol;
   const double t_bound = dir > 0 ? up_[j] - val_[j] : val_[j] - lo_[j];
 
   // Per-row blocking limit under the move; kInf when the row cannot block.
@@ -637,7 +569,7 @@ void RevisedSimplex::apply_step(int j, double dir,
   const int r = block.leave_row;
   // Reference weights need the pre-pivot basis (BTRAN of e_r and the
   // nonbasic partition), so update them before the swap and LU update.
-  if (weighted_pricing()) update_primal_weights(j, r, w);
+  update_primal_weights(j, r, w);
   const int leaving = basis_[static_cast<std::size_t>(r)];
   val_[leaving] = block.leave_to;
   basic_row_[leaving] = -1;
@@ -653,7 +585,7 @@ void RevisedSimplex::apply_step(int j, double dir,
 }
 
 bool RevisedSimplex::run_phase1() {
-  const double inf_tol = params_.feas_tol * static_cast<double>(m_ + 1);
+  const double inf_tol = kLpFeasTol * static_cast<double>(m_ + 1);
   double last_inf = infeasibility();
   if (last_inf <= inf_tol) return true;
   int stall = 0;
@@ -687,7 +619,7 @@ bool RevisedSimplex::run_phase1() {
       last_inf = infeasibility();
       continue;
     }
-    if (inf < last_inf - params_.feas_tol) {
+    if (inf < last_inf - kLpFeasTol) {
       last_inf = inf;
       stall = 0;
       bland = false;
@@ -731,7 +663,7 @@ bool RevisedSimplex::run_phase2() {
     apply_step(c.j, c.dir, w_,
                ratio_test(w_, c.j, c.dir, /*phase1=*/false, bland));
     const double obj = objective_value();
-    if (obj < last_obj - params_.opt_tol) {
+    if (obj < last_obj - kLpOptTol) {
       last_obj = obj;
       stall = 0;
       bland = false;
@@ -758,8 +690,8 @@ void RevisedSimplex::compute_reduced_costs(std::vector<double>& d) {
 }
 
 void RevisedSimplex::restore_dual_feasibility(std::vector<double>& d) {
-  const double ftol = params_.feas_tol;
-  const double otol = params_.opt_tol;
+  const double ftol = kLpFeasTol;
+  const double otol = kLpOptTol;
   long flips = 0;
   for (int j = 0; j < cols_; ++j) {
     if (is_basic(j) || col_span(j) < ftol) continue;
@@ -777,7 +709,7 @@ void RevisedSimplex::restore_dual_feasibility(std::vector<double>& d) {
 }
 
 RevisedSimplex::DualOutcome RevisedSimplex::run_dual() {
-  const double ftol = params_.feas_tol;
+  const double ftol = kLpFeasTol;
   std::vector<double> d;
   compute_reduced_costs(d);
   restore_dual_feasibility(d);
@@ -789,14 +721,12 @@ RevisedSimplex::DualOutcome RevisedSimplex::run_dual() {
   long taken = 0;
   bool retried = false;
   while (true) {
-    // Leaving row: largest bound violation (Dantzig), or largest
-    // viol²/weight under devex/steepest-edge row weights — the dual mirror
-    // of d²/w entering-column pricing.
+    // Leaving row: largest viol²/weight under the devex row weights — the
+    // dual mirror of d²/w entering-column pricing.
     int r = -1;
     double best_score = 0.0;
     double sigma = 0.0;
     double target = 0.0;
-    const bool weighted = weighted_pricing();
     for (int i = 0; i < m_; ++i) {
       const int b = basis_[static_cast<std::size_t>(i)];
       double v;
@@ -814,10 +744,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::run_dual() {
         continue;
       }
       const double score =
-          weighted
-              ? v * v /
-                    std::max(row_weight_[static_cast<std::size_t>(i)], 1e-12)
-              : v;
+          v * v / std::max(row_weight_[static_cast<std::size_t>(i)], 1e-12);
       if (score > best_score) {
         best_score = score;
         r = i;
@@ -921,7 +848,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::run_dual() {
       restore_dual_feasibility(d);
       continue;
     }
-    if (weighted) update_dual_weights(r, wr, w_);
+    update_dual_weights(r, wr, w_);
     const double delta = (val_[leaving] - target) / wr;
     if (delta != 0.0) {
       for (int i = 0; i < m_; ++i) {
@@ -1024,7 +951,9 @@ namespace {
 /// Per-*solve* aggregates (never per-pivot — the overhead contract): call
 /// counts as counters, shape-of-the-solve as histograms. Instrument
 /// references are cached; the registry map probe happens once per process.
-void record_lp_metrics(const LpResult& result, LpPricing pricing,
+/// Non-Bland pivots count under the rule that priced them: devex for the
+/// revised solver, Dantzig for the dense oracle (\p dense).
+void record_lp_metrics(const LpResult& result, bool dense,
                        std::int64_t elapsed_us) {
   using obs::metrics;
   static obs::Counter& solves = metrics().counter("lp.solves");
@@ -1032,8 +961,6 @@ void record_lp_metrics(const LpResult& result, LpPricing pricing,
   static obs::Counter& by_dantzig =
       metrics().counter("lp.pivots_by_rule.dantzig");
   static obs::Counter& by_devex = metrics().counter("lp.pivots_by_rule.devex");
-  static obs::Counter& by_se =
-      metrics().counter("lp.pivots_by_rule.steepest_edge");
   static obs::Counter& by_bland = metrics().counter("lp.pivots_by_rule.bland");
   static obs::Counter& degen = metrics().counter("lp.degenerate_steps");
   static obs::Counter& factor = metrics().counter("lp.factorizations");
@@ -1048,13 +975,7 @@ void record_lp_metrics(const LpResult& result, LpPricing pricing,
   solves.add();
   pivots.add(result.iterations);
   const long ruled = result.iterations - result.bland_iterations;
-  if (ruled > 0) {
-    switch (pricing) {
-      case LpPricing::kDantzig: by_dantzig.add(ruled); break;
-      case LpPricing::kDevex: by_devex.add(ruled); break;
-      case LpPricing::kSteepestEdge: by_se.add(ruled); break;
-    }
-  }
+  if (ruled > 0) (dense ? by_dantzig : by_devex).add(ruled);
   if (result.bland_iterations > 0) by_bland.add(result.bland_iterations);
   degen.add(result.degenerate_steps);
   factor.add(result.factorizations);
@@ -1086,20 +1007,9 @@ LpResult solve_lp(const LpProblem& lp, const LpParams& params) {
     RevisedSimplex solver(lp, params);
     result = solver.run();
   }
-  // The dense oracle always prices Dantzig-style regardless of the knob.
-  record_lp_metrics(result,
-                    params.use_dense ? LpPricing::kDantzig : params.pricing,
+  record_lp_metrics(result, params.use_dense,
                     support::monotonic_us() - start_us);
   return result;
-}
-
-std::string_view to_string(LpPricing pricing) {
-  switch (pricing) {
-    case LpPricing::kDantzig: return "dantzig";
-    case LpPricing::kDevex: return "devex";
-    case LpPricing::kSteepestEdge: return "steepest_edge";
-  }
-  return "unknown";
 }
 
 }  // namespace mlsi::opt

@@ -15,12 +15,16 @@
 /// LU factorization with product-form pivot updates and periodic refactor
 /// (basis_lu.hpp); solves go through sparse FTRAN/BTRAN, never an explicit
 /// inverse. Phase 1 minimizes the sum of primal infeasibilities with
-/// dynamically recomputed gradient costs and short-step blocking; phase 2
-/// prices by the rule selected in LpParams::pricing — devex or exact
-/// steepest-edge reference weights (the default), or the original sectioned
-/// Dantzig scan with a rotating partial-pricing cursor. The ratio test is
-/// two-pass Harris-style; Bland's rule engages after a stall to guarantee
-/// termination.
+/// dynamically recomputed gradient costs and short-step blocking; both
+/// phases price with devex: Forrest–Goldfarb reference-framework weights
+/// approximating the steepest-edge norms ||B^{-1}a_j||², each attractive
+/// column scored d_j²/w_j. Weights survive eta (product-form) updates *and*
+/// refactorizations (the row-indexed dual weights are carried through the
+/// factor permutation); they fall back to the unit reference framework on
+/// weight overflow, a near-zero pivot, basis repair or a cold start. The
+/// ratio test is two-pass Harris-style; Bland's rule engages after a stall
+/// to guarantee termination. The dual simplex mirrors devex with row
+/// weights approximating ||B^{-T}e_r||².
 ///
 /// Warm starts: a caller holding an optimal parent basis (branch & bound
 /// after a single bound change) re-enters through the bounded-variable
@@ -33,8 +37,7 @@
 /// LpParams::use_dense as a differential-testing oracle.
 
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/executor.hpp"
@@ -62,31 +65,8 @@ struct LpProblem {
 enum class LpStatus {
   kOptimal,
   kInfeasible,
-  kIterLimit,  ///< max_iters or deadline hit before convergence
+  kIterLimit,  ///< pivot cap (kLpMaxIters), deadline or stop hit first
 };
-
-/// \brief Entering-column (primal) / leaving-row (dual) selection rule.
-///
-/// kDantzig is the original sectioned partial pricing over raw reduced
-/// costs. kDevex maintains Forrest–Goldfarb reference-framework weights
-/// approximating the steepest-edge norms ||B^{-1}a_j||²; candidates are
-/// scored d_j²/w_j, which strongly favours pivots that actually move the
-/// objective and cuts pivot counts on the degenerate scheduling/routing
-/// LPs. kSteepestEdge upgrades the weight update to the exact Goldfarb
-/// recurrence (one extra BTRAN/FTRAN per pivot) — fewest pivots, highest
-/// per-pivot cost. Weights survive eta (product-form) updates *and*
-/// refactorizations (the row-indexed dual weights are carried through the
-/// factor permutation); they fall back to the unit reference framework only
-/// on weight overflow, basis repair or a cold start. Bland anti-cycling
-/// mode overrides all of them. The dual simplex mirrors the choice with row
-/// weights approximating ||B^{-T}e_r||².
-enum class LpPricing : char {
-  kDantzig = 0,
-  kDevex = 1,
-  kSteepestEdge = 2,
-};
-
-[[nodiscard]] std::string_view to_string(LpPricing pricing);
 
 /// Status of one working column (structural or slack) in a basis snapshot.
 enum class ColStatus : char {
@@ -118,8 +98,8 @@ struct LpResult {
   long phase1_iterations = 0; ///< primal phase-1 share of `iterations`
   long dual_iterations = 0;   ///< dual-simplex share of `iterations`
   /// Iterations taken in Bland anti-cycling mode; the remaining
-  /// `iterations - bland_iterations` were priced by LpParams::pricing
-  /// (feeds the lp.pivots_by_rule.* counters).
+  /// `iterations - bland_iterations` were priced by devex (the dense oracle:
+  /// Dantzig-style). Feeds the lp.pivots_by_rule.* counters.
   long bland_iterations = 0;
   long factorizations = 0;    ///< basis (re)factorizations performed
   /// Basis changes whose Harris ratio step was (numerically) zero — the
@@ -131,12 +111,6 @@ struct LpResult {
 };
 
 struct LpParams {
-  double feas_tol = 1e-7;
-  double opt_tol = 1e-7;
-  long max_iters = 500000;
-  /// Entering/leaving selection rule for the revised simplex (the dense
-  /// oracle always prices Dantzig-style). Devex is the production default.
-  LpPricing pricing = LpPricing::kDevex;
   /// Iterations without objective progress before switching to Bland's rule.
   int stall_limit = 256;
   Deadline deadline;  ///< unlimited by default

@@ -306,7 +306,7 @@ void DenseSimplex::pivot(int r, int j) {
 
 DenseSimplex::Block DenseSimplex::ratio_test(int j, double dir, bool phase1,
                                              bool bland) const {
-  const double ftol = params_.feas_tol;
+  const double ftol = kLpFeasTol;
   const double t_bound = dir > 0 ? up_[j] - val_[j] : val_[j] - lo_[j];
 
   // Per-row blocking limit under the move; kInf when the row cannot block.
@@ -419,7 +419,7 @@ double DenseSimplex::infeasibility() const {
 }
 
 bool DenseSimplex::phase1_step(bool bland) {
-  const double ftol = params_.feas_tol;
+  const double ftol = kLpFeasTol;
   // Gradient of the total infeasibility along each nonbasic direction:
   // g_j = sum_{basic below lo} T[i][j] - sum_{basic above up} T[i][j];
   // moving j by dir changes the infeasibility at rate dir * g_j.
@@ -469,13 +469,13 @@ bool DenseSimplex::phase1_step(bool bland) {
 }
 
 bool DenseSimplex::run_phase1() {
-  const double inf_tol = params_.feas_tol * static_cast<double>(m_ + 1);
+  const double inf_tol = kLpFeasTol * static_cast<double>(m_ + 1);
   double last_inf = infeasibility();
   if (last_inf <= inf_tol) return true;
   int stall = 0;
   bool bland = false;
   while (true) {
-    if (++iters_ > params_.max_iters || params_.deadline.expired() ||
+    if (++iters_ > kLpMaxIters || params_.deadline.expired() ||
         params_.stop.stop_requested()) {
       status_ = LpStatus::kIterLimit;
       return false;
@@ -497,7 +497,7 @@ bool DenseSimplex::run_phase1() {
       last_inf = infeasibility();
       continue;
     }
-    if (inf < last_inf - params_.feas_tol) {
+    if (inf < last_inf - kLpFeasTol) {
       last_inf = inf;
       stall = 0;
       bland = false;
@@ -526,8 +526,8 @@ void DenseSimplex::init_reduced_costs() {
 }
 
 bool DenseSimplex::phase2_step(bool bland) {
-  const double otol = params_.opt_tol;
-  const double ftol = params_.feas_tol;
+  const double otol = kLpOptTol;
+  const double ftol = kLpFeasTol;
   int best_j = -1;
   double best_dir = 0.0;
   double best_score = -otol;
@@ -577,7 +577,7 @@ bool DenseSimplex::run_phase2() {
       basis_repaired_ = false;
       return true;
     }
-    if (++iters_ > params_.max_iters || params_.deadline.expired() ||
+    if (++iters_ > kLpMaxIters || params_.deadline.expired() ||
         params_.stop.stop_requested()) {
       status_ = LpStatus::kIterLimit;
       return false;
@@ -594,7 +594,7 @@ bool DenseSimplex::run_phase2() {
       continue;
     }
     const double obj = objective_value();
-    if (obj < last_obj - params_.opt_tol) {
+    if (obj < last_obj - kLpOptTol) {
       last_obj = obj;
       stall = 0;
       bland = false;

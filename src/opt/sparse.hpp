@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file sparse.hpp
-/// \brief Compressed-sparse-column storage of the working LP matrix.
+/// \brief Compressed-sparse-column storage of the working LP matrix, and
+/// the tolerances both simplex implementations share.
 ///
 /// Both simplex implementations operate on the working matrix
 /// M = [A | -I]: one column per structural variable followed by one slack
@@ -16,6 +17,13 @@
 #include "opt/simplex.hpp"
 
 namespace mlsi::opt {
+
+/// Primal feasibility tolerance of every LP solve (revised and dense).
+inline constexpr double kLpFeasTol = 1e-7;
+/// Optimality (reduced-cost) tolerance of every LP solve.
+inline constexpr double kLpOptTol = 1e-7;
+/// Safety limit on pivots per solve; reaching it reports kIterLimit.
+inline constexpr long kLpMaxIters = 500000;
 
 /// Immutable CSC matrix. Entries within a column are sorted by row and
 /// duplicate-free (build_working_matrix merges duplicates on ingestion).

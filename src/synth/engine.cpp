@@ -40,4 +40,14 @@ std::vector<std::string_view> engine_names() {
   return names;
 }
 
+void add_milp_stats(EngineStats& into, const opt::SolveStats& from) {
+  into.lp_iterations += from.lp_iterations;
+  into.lp_factorizations += from.lp_factorizations;
+  into.warm_starts += from.warm_starts;
+  into.cold_starts += from.cold_starts;
+  into.cuts_generated += from.cuts_generated;
+  into.cuts_applied += from.cuts_applied;
+  into.cuts_dropped += from.cuts_dropped;
+}
+
 }  // namespace mlsi::synth

@@ -92,4 +92,9 @@ using EngineFn = Result<SynthesisResult> (*)(const arch::SwitchTopology&,
 /// Registered engine names, in registry order.
 [[nodiscard]] std::vector<std::string_view> engine_names();
 
+/// Adds a MILP solve's LP-engine telemetry (LP iterations and
+/// factorizations, warm/cold starts, cuts generated/applied/dropped) into
+/// \p into. Used by the IQP engine and the pressure-sharing ILP.
+void add_milp_stats(EngineStats& into, const opt::SolveStats& from);
+
 }  // namespace mlsi::synth

@@ -441,13 +441,7 @@ Result<SynthesisResult> IqpBuilder::extract(const opt::Solution& sol,
   out.stats.runtime_s = runtime_s;
   out.stats.nodes = sol.stats.nodes;
   out.stats.proven_optimal = sol.status == opt::MilpStatus::kOptimal;
-  out.stats.lp_iterations = sol.stats.lp_iterations;
-  out.stats.lp_factorizations = sol.stats.lp_factorizations;
-  out.stats.warm_starts = sol.stats.warm_starts;
-  out.stats.cold_starts = sol.stats.cold_starts;
-  out.stats.cuts_generated = sol.stats.cuts_generated;
-  out.stats.cuts_applied = sol.stats.cuts_applied;
-  out.stats.cuts_dropped = sol.stats.cuts_dropped;
+  add_milp_stats(out.stats, sol.stats);
   return out;
 }
 

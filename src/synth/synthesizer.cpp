@@ -96,13 +96,7 @@ void Synthesizer::apply_post_processing(SynthesisResult& result) const {
       result.pressure_group = groups.group;
       result.num_pressure_groups = groups.num_groups;
       // Surface the ILP's LP-engine telemetry next to the search stats.
-      result.stats.lp_iterations += groups.milp_stats.lp_iterations;
-      result.stats.lp_factorizations += groups.milp_stats.lp_factorizations;
-      result.stats.warm_starts += groups.milp_stats.warm_starts;
-      result.stats.cold_starts += groups.milp_stats.cold_starts;
-      result.stats.cuts_generated += groups.milp_stats.cuts_generated;
-      result.stats.cuts_applied += groups.milp_stats.cuts_applied;
-      result.stats.cuts_dropped += groups.milp_stats.cuts_dropped;
+      add_milp_stats(result.stats, groups.milp_stats);
       break;
     }
   }

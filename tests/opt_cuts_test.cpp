@@ -121,8 +121,7 @@ TEST(CutsTest, GeneratesSeparatingCutOnTextbookInstance) {
   ASSERT_TRUE(fractional(root, 2));
 
   CutStats stats;
-  const auto cuts =
-      generate_gomory_cuts(lp, root, {1, 1}, CutParams{}, &stats);
+  const auto cuts = generate_gomory_cuts(lp, root, {1, 1}, &stats);
   ASSERT_FALSE(cuts.empty());
   EXPECT_EQ(stats.kept, static_cast<long>(cuts.size()));
   // Each cut separates the fractional vertex...
@@ -154,15 +153,15 @@ TEST(CutsTest, EmptyOnIntegralOrDegenerateInput) {
   const LpResult root = solve_lp(lp);
   ASSERT_EQ(root.status, LpStatus::kOptimal);
   // Integral vertex: nothing to cut.
-  EXPECT_TRUE(generate_gomory_cuts(lp, root, {1}, CutParams{}).empty());
+  EXPECT_TRUE(generate_gomory_cuts(lp, root, {1}).empty());
   // Non-optimal result: generator must refuse.
   LpResult bogus = root;
   bogus.status = LpStatus::kIterLimit;
-  EXPECT_TRUE(generate_gomory_cuts(lp, bogus, {1}, CutParams{}).empty());
+  EXPECT_TRUE(generate_gomory_cuts(lp, bogus, {1}).empty());
   // Shape-mismatched basis: generator must refuse.
   LpResult truncated = root;
   truncated.basis.basic.clear();
-  EXPECT_TRUE(generate_gomory_cuts(lp, truncated, {1}, CutParams{}).empty());
+  EXPECT_TRUE(generate_gomory_cuts(lp, truncated, {1}).empty());
 }
 
 // The heavyweight validity fuzz: for every random mixed instance with a
@@ -186,7 +185,7 @@ TEST_P(CutValidityFuzzTest, NoCutChopsAnyIntegerSlice) {
 
     CutStats stats;
     const auto cuts = generate_gomory_cuts(
-        lp, root, integral_mask(n_int, lp.num_vars), CutParams{}, &stats);
+        lp, root, integral_mask(n_int, lp.num_vars), &stats);
     EXPECT_EQ(stats.kept + stats.dropped, stats.generated);
     if (cuts.empty()) continue;
     ++generated_any;

@@ -519,43 +519,5 @@ TEST_P(SimplexWarmFuzzTest, WarmChildMatchesColdChild) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, SimplexWarmFuzzTest, ::testing::Range(0, 5));
 
-// --- pricing-parity fuzz -----------------------------------------------------
-//
-// The pricing rule chooses *which* vertex path the simplex walks, never the
-// answer: Dantzig, devex, and exact steepest edge must all land on the dense
-// oracle's objective (and agree on feasibility status) on every instance.
-// Same corpus shape and size as the differential fuzz: 6 x 100 = 600.
-
-class SimplexPricingParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimplexPricingParityTest, AllRulesAgreeWithDenseOracle) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  for (int inst = 0; inst < 100; ++inst) {
-    const int n = rng.next_int(1, 12);
-    const int m = rng.next_int(1, 12);
-    const auto lp = random_lp(rng, n, m).lp;
-    LpParams dense_params;
-    dense_params.use_dense = true;
-    const auto oracle = solve_lp(lp, dense_params);
-    for (const LpPricing pricing :
-         {LpPricing::kDantzig, LpPricing::kDevex, LpPricing::kSteepestEdge}) {
-      LpParams params;
-      params.pricing = pricing;
-      const auto res = solve_lp(lp, params);
-      ASSERT_EQ(res.status, oracle.status)
-          << "case " << GetParam() << " inst " << inst << " pricing "
-          << to_string(pricing);
-      if (oracle.status == LpStatus::kOptimal) {
-        EXPECT_NEAR(res.objective, oracle.objective, 1e-5)
-            << "case " << GetParam() << " inst " << inst << " pricing "
-            << to_string(pricing);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fuzz, SimplexPricingParityTest,
-                         ::testing::Range(0, 6));
-
 }  // namespace
 }  // namespace mlsi::opt
