@@ -6,11 +6,13 @@
 # a live-service smoke (socket daemon + serve_throughput client load +
 # mlsi_top + SIGTERM drain, all obs artifacts validated), a bench
 # wall-time regression guard against the committed summary, the LP/MILP
-# tests and the obs flight recorder again under AddressSanitizer (the
-# sparse LU and eta-file code is pointer-heavy; the recorder's dump path
-# formats into fixed buffers), and the concurrency tests (thread pool,
-# stop tokens, portfolio races, serve cache/coalescing, obs emission,
-# metrics snapshots under mutation) again under ThreadSanitizer.
+# tests, the obs flight recorder and the input boundaries (case JSON, serve
+# request lines, the persistent store) again under AddressSanitizer +
+# UBSan (the sparse LU and eta-file code is pointer-heavy; the recorder's
+# dump path formats into fixed buffers; the parsers take hostile bytes),
+# and the concurrency tests (thread pool, stop tokens, the cp engine's
+# clockwise first-pin split, serve cache/coalescing, obs emission, metrics
+# snapshots under mutation) again under ThreadSanitizer.
 #
 #   scripts/check.sh            # from the repo root
 #
@@ -46,13 +48,14 @@ build/bench/serve_throughput --smoke
 cmake --build build -j "$(nproc)" --target cp_unfixed
 build/bench/cp_unfixed --smoke
 
-# Observability smoke: a portfolio run with all three obs flags, then the
-# format validator (trace = Chrome trace JSON array, search log = JSONL,
-# metrics keys declared in scripts/metrics_schema.json).
+# Observability smoke: a clockwise run large enough to split its first-pin
+# loop over 4 workers, with all three obs flags, then the format validator
+# (trace = Chrome trace JSON array, search log = JSONL, metrics keys
+# declared in scripts/metrics_schema.json).
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
-build/tools/mlsi_synth tests/data/demo_obs.json \
-    --engine portfolio --jobs 4 --quiet \
+build/tools/mlsi_synth tests/data/chip_sw2_clockwise.json \
+    --jobs 4 --quiet \
     --trace-out "$obs_dir/trace.json" \
     --metrics-out "$obs_dir/metrics.json" \
     --search-log "$obs_dir/search.jsonl"
@@ -138,17 +141,23 @@ fi
 
 cmake -B build-asan -S . -DMLSI_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
-    --target opt_simplex_test opt_cuts_test opt_milp_test obs_test
+    --target opt_simplex_test opt_cuts_test opt_milp_test obs_test io_test \
+    serve_test
 build-asan/tests/opt_simplex_test
 build-asan/tests/opt_cuts_test
 build-asan/tests/opt_milp_test
 # Flight recorder under ASan: ring wraparound, name sanitization, and the
 # crash-handler dump (the death test's signal path) with full heap checking.
 build-asan/tests/obs_test
+# Input boundaries under ASan/UBSan: hostile case documents, serve request
+# lines and persistent-store entries must be rejected, not abort.
+build-asan/tests/io_test
+build-asan/tests/serve_test \
+    --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*'
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
-    --target exec_test obs_test opt_milp_test synth_portfolio_test \
+    --target exec_test obs_test opt_milp_test synth_parallel_test \
     serve_test cp_search_test mlsi_synth_cli
 build-tsan/tests/exec_test
 build-tsan/tests/obs_test
@@ -158,13 +167,14 @@ build-tsan/tests/serve_test
 # Parallel branch & bound: shared incumbent, node counter and frontier under
 # real contention (determinism + stop-token unwind tests included).
 build-tsan/tests/opt_milp_test --gtest_filter='MilpTest.Parallel*'
-build-tsan/tests/synth_portfolio_test
-# CP racers (shared incumbent) under real races.
-build-tsan/tests/cp_search_test --gtest_filter='LearningPortfolioTest.*'
+build-tsan/tests/synth_parallel_test
+# The clockwise first-pin split: the same answer at jobs 1/2/4 with real
+# worker threads (the paper cases above the split threshold included).
+build-tsan/tests/cp_search_test --gtest_filter='*ClockwiseSplit*'
 # Obs enabled under TSan: per-thread trace buffers, metrics atomics and the
-# search-log mutex all get exercised by a real portfolio race.
-build-tsan/tools/mlsi_synth tests/data/demo_clockwise.json \
-    --engine portfolio --jobs 4 --quiet \
+# search-log mutex all get exercised by a real clockwise split.
+build-tsan/tools/mlsi_synth tests/data/chip_sw2_clockwise.json \
+    --jobs 4 --quiet \
     --trace-out "$obs_dir/tsan_trace.json" \
     --metrics-out "$obs_dir/tsan_metrics.json" \
     --search-log "$obs_dir/tsan_search.jsonl"

@@ -17,10 +17,15 @@ Result<ProblemSpec> spec_from_json(const Value& doc) {
   }
   ProblemSpec spec;
   spec.name = doc.get_string("name", "unnamed");
-  spec.pins_per_side = doc.get_int("pins_per_side", 0);
+  const auto pins_per_side =
+      json::read_int(doc.find("pins_per_side"), "pins_per_side");
+  if (!pins_per_side.ok()) return pins_per_side.status();
+  spec.pins_per_side = *pins_per_side;
   spec.alpha = doc.get_number("alpha", 1.0);
   spec.beta = doc.get_number("beta", 100.0);
-  spec.max_sets = doc.get_int("max_sets", 0);
+  const auto max_sets = json::read_int(doc.find("max_sets"), "max_sets");
+  if (!max_sets.ok()) return max_sets.status();
+  spec.max_sets = *max_sets;
 
   const Value* modules = doc.find("modules");
   if (modules == nullptr || !modules->is_array()) {
@@ -57,8 +62,11 @@ Result<ProblemSpec> spec_from_json(const Value& doc) {
       if (!c.is_array() || c.as_array().size() != 2) {
         return Status::InvalidArgument("each conflict must be a flow pair");
       }
-      spec.conflicts.emplace_back(c.as_array()[0].as_int(),
-                                  c.as_array()[1].as_int());
+      const auto a = json::read_int(&c.as_array()[0], "conflicts");
+      if (!a.ok()) return a.status();
+      const auto b = json::read_int(&c.as_array()[1], "conflicts");
+      if (!b.ok()) return b.status();
+      spec.conflicts.emplace_back(*a, *b);
     }
   }
 
@@ -68,7 +76,15 @@ Result<ProblemSpec> spec_from_json(const Value& doc) {
   spec.policy = *policy;
 
   if (const Value* order = doc.find("clockwise_order"); order != nullptr) {
+    if (!order->is_array()) {
+      return Status::InvalidArgument(
+          "'clockwise_order' must be an array of module names");
+    }
     for (const Value& m : order->as_array()) {
+      if (!m.is_string()) {
+        return Status::InvalidArgument(
+            "'clockwise_order' must be an array of module names");
+      }
       const int idx = spec.module_index(m.as_string());
       if (idx < 0) {
         return Status::InvalidArgument(
@@ -87,7 +103,9 @@ Result<ProblemSpec> spec_from_json(const Value& doc) {
         return Status::InvalidArgument(
             cat("fixed_binding references unknown module '", name, "'"));
       }
-      spec.fixed_binding.push_back(synth::ModulePin{idx, pin.as_int()});
+      const auto pin_index = json::read_int(&pin, "fixed_binding");
+      if (!pin_index.ok()) return pin_index.status();
+      spec.fixed_binding.push_back(synth::ModulePin{idx, *pin_index});
     }
   }
 

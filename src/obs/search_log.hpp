@@ -4,8 +4,8 @@
 /// \brief JSONL log of solver search events (the Chuffed-style search log).
 ///
 /// Exact solvers are diagnosed from their search trajectory: when did the
-/// incumbent improve, what got pruned and why, which portfolio racer was
-/// doing what. This log streams one JSON object per line:
+/// incumbent improve, what got pruned and why. This log streams one JSON
+/// object per line:
 ///
 ///   {"ev":"incumbent","t":0.0123,"tid":2,"engine":"cp","obj":1012.0,...}
 ///
@@ -13,7 +13,7 @@
 /// monotonic epoch) and "tid" (thread ordinal); the remaining fields are
 /// event-specific. The event taxonomy is documented in DESIGN.md
 /// ("Observability"). Lines are written with one fputs under a mutex, so
-/// concurrent racers never interleave mid-line.
+/// concurrent searches never interleave mid-line.
 ///
 /// Overhead contract: sites guard with search_log_enabled() — one relaxed
 /// atomic load and no allocation when the log is off. Per-node B&B events

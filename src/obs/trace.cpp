@@ -15,8 +15,8 @@ std::atomic<bool> g_trace_on{false};
 }  // namespace detail
 
 /// Owned jointly by the emitting thread (thread_local shared_ptr) and the
-/// tracer registry, so events survive the thread's exit — portfolio pool
-/// threads are joined long before the CLI writes the trace file.
+/// tracer registry, so events survive the thread's exit — the CP search's
+/// pool threads are joined long before the CLI writes the trace file.
 struct Tracer::ThreadBuffer {
   std::mutex mutex;  ///< uncontended except during to_json()/reset()
   std::vector<TraceEvent> events;

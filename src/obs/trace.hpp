@@ -3,12 +3,13 @@
 /// \file trace.hpp
 /// \brief Thread-aware span/event tracer emitting Chrome trace-event JSON.
 ///
-/// The synthesis pipeline is a multi-threaded race (portfolio racers, each
-/// nesting MILP/LP solves); end-of-run aggregates cannot show *when* a
-/// racer was winning or where wall clock went. This tracer records spans
-/// (complete events, ph "X") and instants (ph "i") into per-thread buffers
-/// and serializes them as a Chrome trace-event JSON array — loadable in
-/// Perfetto / chrome://tracing.
+/// Synthesis runs on several threads (a large clockwise CP solve splits its
+/// first-pin subtrees over a pool; the server and batch runs solve on
+/// workers); end-of-run aggregates cannot show *when* each worker was busy
+/// or where wall clock went. This tracer records spans (complete events,
+/// ph "X") and instants (ph "i") into per-thread buffers and serializes
+/// them as a Chrome trace-event JSON array — loadable in Perfetto /
+/// chrome://tracing.
 ///
 /// Overhead contract: when tracing is disabled (the default), every
 /// instrumentation site costs one relaxed atomic load and never allocates
@@ -91,9 +92,9 @@ class Tracer {
 
 /// RAII span: records a complete event covering construction..destruction.
 /// The const char* overload is the zero-cost-when-disabled form; the
-/// std::string overload exists for dynamic labels (racer names, request
-/// ids) — its argument is built by the caller either way, so reserve it
-/// for cold call sites.
+/// std::string overload exists for dynamic labels (CP subtree first pins,
+/// request ids) — its argument is built by the caller either way, so
+/// reserve it for cold call sites.
 ///
 /// Every span also feeds the flight recorder ('B' at construction, 'E'
 /// with dur at destruction) when that is enabled — one instrumentation

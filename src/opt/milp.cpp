@@ -67,8 +67,7 @@ void add_lp_counters(SolveStats& into, const SolveStats& from) {
 /// before workers start; every worker owns a Searcher with a private
 /// LpProblem copy whose bounds it mutates freely. Shared state is exactly
 /// the incumbent (atomic objective for pruning, mutex-guarded vector for
-/// publication), the global node counter, and the truncated flag — the same
-/// shape as synth::solve_portfolio's shared-incumbent race.
+/// publication), the global node counter, and the truncated flag.
 class BranchAndBound {
  public:
   BranchAndBound(Model model, const MilpParams& params, int original_vars)
@@ -275,10 +274,6 @@ void BranchAndBound::offer_incumbent(const std::vector<double>& x,
     best_x_ = std::move(rounded);
     have_incumbent_.store(true, std::memory_order_relaxed);
   }
-  if (params_.log) {
-    log_info("milp: incumbent ", obj_sign_ * objective_min, " after ",
-             node_count_.load(std::memory_order_relaxed), " nodes");
-  }
   if (obs::search_log_enabled()) {
     obs::search_event(
         "incumbent",
@@ -353,13 +348,6 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
   }
   const long node =
       bb.node_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (bb.params_.log && node % 1000 == 0) {
-    log_info("milp: ", node, " nodes, incumbent ",
-             bb.have_incumbent_.load(std::memory_order_relaxed)
-                 ? bb.obj_sign_ *
-                       bb.best_obj_min_.load(std::memory_order_relaxed)
-                 : 0.0);
-  }
   if (obs::metrics_enabled()) {
     static obs::Histogram& depth_hist = obs::metrics().histogram(
         "milp.node_depth", {1, 2, 4, 8, 16, 24, 32, 48, 64, 96});
@@ -519,10 +507,6 @@ LpResult BranchAndBound::solve_root() {
       }
       stats_.cuts_applied += static_cast<long>(cuts.size());
       root = std::move(next);
-      if (params_.log) {
-        log_info("milp: cut round ", round + 1, ": +", cuts.size(),
-                 " cuts, root bound ", obj_sign_ * root.objective);
-      }
     }
   }
 
@@ -665,18 +649,10 @@ Solution solve_milp(const Model& model, const MilpParams& params) {
   obs::TraceSpan span("milp.solve");
   Model work = model;  // keep the caller's model untouched
   const int original_vars = model.num_vars();
-  const int aux = linearize_products(work);
-  if (params.log && aux > 0) {
-    log_info("milp: linearized ", aux, " binary products");
-  }
+  linearize_products(work);
   if (params.presolve) {
     obs::TraceSpan presolve_span("milp.presolve");
     const PresolveStats ps = opt::presolve(work);
-    if (params.log) {
-      log_info("milp: presolve tightened ", ps.bound_tightenings,
-               " bounds, removed ", ps.rows_removed, " rows, fixed ",
-               ps.vars_fixed, " vars");
-    }
     if (ps.proven_infeasible) {
       Solution out;
       out.status = MilpStatus::kInfeasible;

@@ -23,9 +23,9 @@
 /// breadth-first into a frontier of independent subproblems, each carrying
 /// its parent's LpBasis, and a support::ThreadPool drains the frontier with
 /// one DFS searcher per worker; the incumbent is shared through an atomic
-/// minimum exactly as in synth::solve_portfolio. Every subtree is explored
-/// to exhaustion under sound pruning, so the *result* (proven optimum) is
-/// deterministic even though the search order is not.
+/// minimum. Every subtree is explored to exhaustion under sound pruning, so
+/// the *result* (proven optimum) is deterministic even though the search
+/// order is not.
 ///
 /// Every incumbent is re-verified against the original model before being
 /// accepted, so a numerically shaky LP can never produce an invalid
@@ -108,7 +108,6 @@ struct MilpParams {
   /// job count; only the search order (and node count) varies.
   int jobs = 1;
   LpParams lp;
-  bool log = false;
 };
 
 /// Solves \p model exactly (modulo limits). The model is copied internally;

@@ -97,10 +97,9 @@ Result<std::vector<int>> to_int_vector(const Value* v, std::string_view what) {
   std::vector<int> out;
   out.reserve(v->as_array().size());
   for (const Value& x : v->as_array()) {
-    if (!x.is_number()) {
-      return Status::InvalidArgument(cat("non-numeric '", what, "'"));
-    }
-    out.push_back(x.as_int());
+    const auto n = json::read_int(&x, what);
+    if (!n.ok()) return n.status();
+    out.push_back(*n);
   }
   return out;
 }
@@ -162,9 +161,15 @@ Result<CachedResult> cached_from_json(const Value& doc) {
     if (!f.is_array() || f.as_array().size() != 2) {
       return Status::InvalidArgument("each flow must be a [set, path] pair");
     }
-    c.flows.emplace_back(f.as_array()[0].as_int(), f.as_array()[1].as_int());
+    const auto set = json::read_int(&f.as_array()[0], "flows");
+    if (!set.ok()) return set.status();
+    const auto path = json::read_int(&f.as_array()[1], "flows");
+    if (!path.ok()) return path.status();
+    c.flows.emplace_back(*set, *path);
   }
-  c.num_sets = doc.get_int("num_sets", 0);
+  const auto num_sets = json::read_int(doc.find("num_sets"), "num_sets");
+  if (!num_sets.ok()) return num_sets.status();
+  c.num_sets = *num_sets;
   auto segments = to_int_vector(doc.find("used_segments"), "used_segments");
   if (!segments.ok()) return segments.status();
   c.used_segments = std::move(*segments);
@@ -174,14 +179,23 @@ Result<CachedResult> cached_from_json(const Value& doc) {
   if (!valves.ok()) return valves.status();
   c.essential_valves = std::move(*valves);
   if (const Value* states = doc.find("valve_states"); states != nullptr) {
+    if (!states->is_array()) {
+      return Status::InvalidArgument("'valve_states' must be an array");
+    }
     for (const Value& row : states->as_array()) {
+      if (!row.is_string()) {
+        return Status::InvalidArgument("each valve state row must be a string");
+      }
       c.valve_states.push_back(row.as_string());
     }
   }
   auto groups = to_int_vector(doc.find("pressure_group"), "pressure_group");
   if (!groups.ok()) return groups.status();
   c.pressure_group = std::move(*groups);
-  c.num_pressure_groups = doc.get_int("num_pressure_groups", 0);
+  const auto num_groups =
+      json::read_int(doc.find("num_pressure_groups"), "num_pressure_groups");
+  if (!num_groups.ok()) return num_groups.status();
+  c.num_pressure_groups = *num_groups;
   if (const Value* stats = doc.find("stats"); stats != nullptr) {
     c.stats.engine = stats->get_string("engine", "cached");
     c.stats.runtime_s = stats->get_number("runtime_s", 0.0);
@@ -321,8 +335,11 @@ Result<long> PersistentStore::open(
       if (!doc.ok()) break;  // torn tail (crash mid-append): stop replaying
       if (first) {
         first = false;
-        if (doc->get_int("format", -1) != kStoreFormat ||
-            doc->get_int("canonical_version", -1) != kCanonicalVersion ||
+        // A missing or malformed version number reads as a mismatch.
+        if (json::read_int(doc->find("format"), "format").value_or(-1) !=
+                kStoreFormat ||
+            json::read_int(doc->find("canonical_version"), "canonical_version")
+                    .value_or(-1) != kCanonicalVersion ||
             doc->get_string("code_version", "") != code_version) {
           break;  // stale store from another build: discard wholesale
         }

@@ -3,8 +3,8 @@
 /// \file executor.hpp
 /// \brief Cooperative cancellation and a worker thread pool.
 ///
-/// The execution model of the parallel synthesis paths (synth::Portfolio,
-/// synth::BatchSynthesizer):
+/// The execution model of the parallel synthesis paths (the cp engine's
+/// clockwise first-pin split, synth::BatchSynthesizer, serve::Server):
 ///
 ///  * StopSource / StopToken — a shared cancellation flag. Solvers never
 ///    get killed; they poll `token.stop_requested()` at their node loops

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/strings.hpp"
@@ -59,6 +60,21 @@ const Value* Value::find(std::string_view key) const {
 int Value::get_int(std::string_view key, int fallback) const {
   const Value* v = find(key);
   return (v != nullptr && v->is_number()) ? v->as_int() : fallback;
+}
+
+Result<int> read_int(const Value* v, std::string_view what, int fallback) {
+  if (v == nullptr) return fallback;
+  if (!v->is_number()) {
+    return Status::InvalidArgument(cat("'", what, "' must be a number"));
+  }
+  const double n = v->as_number();
+  if (std::nearbyint(n) != n ||
+      n < static_cast<double>(std::numeric_limits<int>::min()) ||
+      n > static_cast<double>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(
+        cat("'", what, "' must be an integer in int range, got ", n));
+  }
+  return static_cast<int>(n);
 }
 
 double Value::get_number(std::string_view key, double fallback) const {

@@ -86,6 +86,14 @@ class Value {
   Object obj_;
 };
 
+/// Checked integer read for untrusted documents (case files, serve request
+/// lines, the persistent store): \p fallback when \p v is null (an absent
+/// optional member), kInvalidArgument naming \p what when \p v is not a
+/// number, not integral, or outside int range. Value::as_int asserts
+/// instead; it is for values the program itself produced.
+[[nodiscard]] Result<int> read_int(const Value* v, std::string_view what,
+                                   int fallback = 0);
+
 /// Parses a complete JSON document. Trailing non-whitespace is an error.
 Result<Value> parse(std::string_view text);
 

@@ -100,7 +100,7 @@ void log_emit(LogLevel level, std::string_view msg) {
       return;
     }
   }
-  // One write per line so portfolio threads never interleave mid-line.
+  // One write per line so worker threads never interleave mid-line.
   std::fprintf(stderr, "%.*s\n", static_cast<int>(line.size()), line.data());
 }
 }  // namespace detail

@@ -8,9 +8,9 @@
 /// is kWarn so that library users see nothing unless they opt in.
 ///
 /// Every line carries a monotonic timestamp (seconds since process start)
-/// and the emitting thread's ordinal, so interleaved portfolio-racer output
-/// stays attributable. Two formats are available (set_log_format): the
-/// human-readable default and a JSONL mode for machine consumers. Output
+/// and the emitting thread's ordinal, so interleaved output from worker
+/// threads stays attributable. Two formats are available (set_log_format):
+/// the human-readable default and a JSONL mode for machine consumers. Output
 /// goes to stderr in a single fprintf per line (lines from concurrent
 /// threads never interleave mid-line) unless a sink is installed
 /// (set_log_sink) — tests and embedders capture lines that way.

@@ -8,12 +8,15 @@
 ///    paths between the bound pins, then flow sets;
 ///  * clockwise policy — outer enumeration of every cyclic-order-preserving
 ///    module->pin assignment (the feasible set of the paper's constraints
-///    (3.12)-(3.13)), inner fixed search sharing one incumbent;
+///    (3.12)-(3.13)), inner fixed search sharing one incumbent; a large
+///    solve splits the first module's pin loop over EngineParams::jobs
+///    workers and returns the serial answer;
 ///  * unfixed policy — binding decisions are taken lazily inside the flow
 ///    DFS; bindings are restricted to lex-minimal representatives under the
 ///    switch's verified automorphisms (cp_symmetry.hpp), falling back to
 ///    the quarter-turn restriction of the first pin choice when no symmetry
-///    verifies.
+///    verifies — which, with the default path cap, is every 12- and 16-pin
+///    crossbar.
 ///
 /// Constraints enforced during the dive (identical to the IQP):
 ///  * one path per flow, each candidate path used at most once (3.1, 3.2);

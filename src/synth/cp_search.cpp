@@ -1,12 +1,16 @@
 #include "synth/cp_search.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "support/log.hpp"
+#include "support/executor.hpp"
+#include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "synth/cp_symmetry.hpp"
 
@@ -15,6 +19,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kObjEps = 1e-9;
+/// Safety limit on the nodes of one search state (the whole serial search,
+/// or one first-pin subtree of the clockwise split); past it the search
+/// stops and reports itself truncated, like an expired deadline.
+constexpr long kMaxNodes = 500'000'000;
+/// A clockwise solve with jobs > 1 searches first pins 1..n-1 on a pool
+/// only when the first pin's subtree explored at least this many nodes.
+/// Measured: the 119 clockwise specs of the perfbench serve_zipf pool
+/// explore at most 1,790 nodes in their first subtree (2,629 in a whole
+/// solve), so serving stays serial, while the four clockwise hard cases
+/// explore 5,159 to 46,110.
+constexpr long kSplitMinNodes = 4096;
 
 class CpSearch {
  public:
@@ -30,6 +45,13 @@ class CpSearch {
   /// order position and the admissible suffix length bound).
   void rebuild_order_tables();
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
+  /// Clockwise policy: searches every binding whose first module (in the
+  /// cyclic order) sits on pin \p p0.
+  void search_first_pin(int p0);
+  /// Searches first pins 1..n-1 on \p jobs workers, each subtree from a
+  /// fresh state bounded by the current incumbent, then folds the subtrees
+  /// in first-pin order. The answer is the serial search's.
+  void split_first_pins(int jobs);
   void enumerate_clockwise(std::vector<int>& pin_of_order, int order_pos);
   void dfs(int pos);
   /// Applies the placement and descends, unless it is pruned first (owner
@@ -42,21 +64,11 @@ class CpSearch {
   }
   [[nodiscard]] bool out_of_budget() {
     if (truncated_) return true;
-    if (nodes_ >= params_.max_nodes || params_.deadline.expired() ||
+    if (nodes_ >= kMaxNodes || params_.deadline.expired() ||
         params_.stop.stop_requested()) {
       truncated_ = true;
     }
     return truncated_;
-  }
-  /// Objective upper bound to prune against: the local incumbent, tightened
-  /// by the portfolio's shared incumbent when racing.
-  [[nodiscard]] double bound_obj() const {
-    double b = best_obj_;
-    if (params_.shared_incumbent != nullptr) {
-      b = std::min(
-          b, params_.shared_incumbent->load(std::memory_order_relaxed));
-    }
-    return b;
   }
   /// Added union length (um) if \p path were placed now.
   [[nodiscard]] double added_length_um(const arch::Path& path) const;
@@ -100,7 +112,9 @@ class CpSearch {
   std::optional<SymmetryBreaker> breaker_;
   bool use_lexmin_ = false;
 
-  // Incumbent.
+  // Incumbent. best_obj_ is also the bound the search prunes against; a
+  // split subtree starts from the first subtree's objective and no
+  // incumbent.
   double best_obj_ = kInf;
   bool have_best_ = false;
   std::vector<int> best_module_pin_;
@@ -223,14 +237,6 @@ double CpSearch::added_length_um(const arch::Path& path) const {
 
 void CpSearch::record_incumbent() {
   const double obj = partial_cost(sets_used_);
-  if (params_.shared_incumbent != nullptr) {
-    // Atomic-min publish so sibling racers prune against this incumbent.
-    auto& shared = *params_.shared_incumbent;
-    double cur = shared.load(std::memory_order_relaxed);
-    while (obj < cur && !shared.compare_exchange_weak(
-                            cur, obj, std::memory_order_relaxed)) {
-    }
-  }
   if (obj < best_obj_ - kObjEps) {
     best_obj_ = obj;
     have_best_ = true;
@@ -244,10 +250,6 @@ void CpSearch::record_incumbent() {
       best_set_[flow] = chosen_set_[pos];
     }
     best_sets_used_ = sets_used_;
-    if (params_.log) {
-      log_info("cp: incumbent obj=", obj, " sets=", sets_used_,
-               " L=", union_len_mm(), "mm after ", nodes_, " nodes");
-    }
     if (obs::search_log_enabled()) {
       obs::search_event("incumbent",
                         {{"engine", json::Value{"cp"}},
@@ -281,7 +283,7 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
       spec_.beta *
           (new_len_um + suffix_bound_um_[static_cast<std::size_t>(pos + 1)]) /
           1000.0;
-  if (lb >= bound_obj() - kObjEps) return;
+  if (lb >= best_obj_ - kObjEps) return;
 
   // Apply.
   std::vector<int> owned;  // vertices newly claimed (for undo)
@@ -322,7 +324,7 @@ void CpSearch::dfs(int pos) {
   if (partial_cost(sets_used_) +
           spec_.beta * suffix_bound_um_[static_cast<std::size_t>(pos)] /
               1000.0 >=
-      bound_obj() - kObjEps) {
+      best_obj_ - kObjEps) {
     return;
   }
 
@@ -483,17 +485,6 @@ void CpSearch::enumerate_clockwise(std::vector<int>& pin_of_order,
     run_fixed_binding(module_pin);
     return;
   }
-  if (order_pos == 0) {
-    // The portfolio partitions this outer loop: worker w of W takes the
-    // first-pin residue class p0 % W == w. (1, 0) covers the whole space.
-    const int stride = std::max(1, params_.clockwise_stride);
-    for (int p0 = params_.clockwise_offset; p0 < num_pins_; p0 += stride) {
-      pin_of_order[0] = p0;
-      enumerate_clockwise(pin_of_order, 1);
-      if (out_of_budget()) return;
-    }
-    return;
-  }
   // Remaining modules take strictly increasing clockwise offsets from the
   // first module's pin; enough positions must remain for those after us.
   const int first = pin_of_order[0];
@@ -503,6 +494,67 @@ void CpSearch::enumerate_clockwise(std::vector<int>& pin_of_order,
     pin_of_order[static_cast<std::size_t>(order_pos)] = p;
     enumerate_clockwise(pin_of_order, order_pos + 1);
     if (out_of_budget()) return;
+  }
+}
+
+void CpSearch::search_first_pin(int p0) {
+  std::vector<int> pin_of_order(static_cast<std::size_t>(spec_.num_modules()));
+  pin_of_order[0] = p0;
+  enumerate_clockwise(pin_of_order, 1);
+}
+
+void CpSearch::split_first_pins(int jobs) {
+  // Every subtree starts from the same bound, so what each one explores and
+  // finds does not depend on the others or on thread timing. Folding them
+  // in first-pin order, where only a strictly better incumbent replaces
+  // the current one, then picks exactly the solution the serial loop ends
+  // on; the node count matches too whenever the first subtree already
+  // holds the optimum, since the serial loop then prunes every later
+  // subtree against that same bound.
+  const auto slots = static_cast<std::size_t>(num_pins_);
+  std::vector<std::unique_ptr<CpSearch>> subtrees(slots);
+  // A throwing subtree search must not escape the pool thread; it is
+  // rethrown on the calling thread, as the serial search would throw it.
+  std::vector<std::exception_ptr> errors(slots);
+  std::atomic<int> next_pin{1};
+  {
+    support::ThreadPool pool(std::min(jobs, num_pins_ - 1));
+    for (int w = 0; w < pool.size(); ++w) {
+      pool.submit([&] {
+        for (int p0 = next_pin++; p0 < num_pins_; p0 = next_pin++) {
+          const auto slot = static_cast<std::size_t>(p0);
+          try {
+            obs::TraceSpan span(obs::trace_enabled() ? cat("cp.subtree:", p0)
+                                                     : std::string{});
+            auto sub =
+                std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
+            sub->prepare();
+            sub->best_obj_ = best_obj_;
+            sub->search_first_pin(p0);
+            subtrees[slot] = std::move(sub);
+          } catch (...) {
+            errors[slot] = std::current_exception();
+          }
+        }
+      });
+    }
+  }  // joins the workers
+
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  for (int p0 = 1; p0 < num_pins_; ++p0) {
+    CpSearch& sub = *subtrees[static_cast<std::size_t>(p0)];
+    nodes_ += sub.nodes_;
+    truncated_ = truncated_ || sub.truncated_;
+    if (sub.have_best_ && sub.best_obj_ < best_obj_ - kObjEps) {
+      best_obj_ = sub.best_obj_;
+      have_best_ = true;
+      best_module_pin_ = std::move(sub.best_module_pin_);
+      best_path_ = std::move(sub.best_path_);
+      best_set_ = std::move(sub.best_set_);
+      best_sets_used_ = sub.best_sets_used_;
+    }
   }
 }
 
@@ -529,8 +581,17 @@ Result<SynthesisResult> CpSearch::run() {
       if (spec_.num_modules() > num_pins_) {
         return Status::InvalidArgument("more modules than pins");
       }
-      std::vector<int> pin_of_order(static_cast<std::size_t>(spec_.num_modules()));
-      enumerate_clockwise(pin_of_order, 0);
+      search_first_pin(0);
+      if (!truncated_ && nodes_ >= kSplitMinNodes) {
+        const int jobs = support::ThreadPool::resolve_jobs(params_.jobs);
+        if (jobs > 1) {
+          split_first_pins(jobs);
+          break;
+        }
+      }
+      for (int p0 = 1; p0 < num_pins_ && !out_of_budget(); ++p0) {
+        search_first_pin(p0);
+      }
       break;
     }
     case BindingPolicy::kUnfixed: {
@@ -582,17 +643,8 @@ Result<SynthesisResult> CpSearch::run() {
   out.stats.runtime_s = timer.seconds();
   out.stats.nodes = nodes_;
   out.stats.proven_optimal = !truncated_;
-  if (obs::metrics_enabled()) {
-    // A lone full-space search proves globally on exhaustion. A partition
-    // racer (stride > 1) or a racer pruning against a shared incumbent
-    // proves only its residue class — the portfolio records the combined
-    // proof instead.
-    const bool partitioned = spec_.policy == BindingPolicy::kClockwise &&
-                             std::max(1, params_.clockwise_stride) > 1;
-    if (out.stats.proven_optimal && !partitioned &&
-        params_.shared_incumbent == nullptr) {
-      obs::metrics().series("search.gap").record(0.0);
-    }
+  if (out.stats.proven_optimal && obs::metrics_enabled()) {
+    obs::metrics().series("search.gap").record(0.0);
   }
   if (obs::search_log_enabled()) {
     obs::search_event("cp_done",

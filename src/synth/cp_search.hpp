@@ -5,15 +5,21 @@
 ///
 /// A chronological, exact branch & bound: flows in a conflicted-first
 /// static order; per flow bind pins, pick a candidate path, pick a flow
-/// set; prune with an admissible suffix-length bound against the incumbent
-/// (and the portfolio's shared incumbent when racing). A dive that
-/// exhausts its space within budget has proven its answer.
+/// set; prune with an admissible suffix-length bound against the incumbent.
+/// A dive that exhausts its space within budget has proven its answer.
+///
+/// For the clockwise policy the outer loop runs over the first module's
+/// pin. When EngineParams::jobs resolves to more than one worker and the
+/// first pin's subtree was large, the other first pins are searched on a
+/// pool, each from a fresh state bounded by the first subtree's incumbent,
+/// and folded in first-pin order: the answer is the serial one.
 ///
 /// For the unfixed policy, lex-leader symmetry breaking (cp_symmetry)
 /// restricts bindings to those lexicographically minimal under the
-/// verified automorphisms of (topology, path set) (cp_symmetry.hpp),
-/// generalizing the seed's quarter-turn rule; when no symmetry verifies,
-/// the quarter-turn restriction is kept as the fallback.
+/// verified automorphisms of (topology, path set) (cp_symmetry.hpp); when
+/// no symmetry verifies — with the default path cap, on every 12- and
+/// 16-pin crossbar — the seed's quarter-turn restriction is the fallback,
+/// unverified there. cp_symmetry.hpp says what verifies and what it prunes.
 
 #include "arch/paths.hpp"
 #include "arch/topology.hpp"

@@ -3,7 +3,6 @@
 #include "support/strings.hpp"
 #include "synth/cp_engine.hpp"
 #include "synth/iqp_engine.hpp"
-#include "synth/portfolio.hpp"
 
 namespace mlsi::synth {
 namespace {
@@ -16,7 +15,6 @@ struct EngineEntry {
 constexpr EngineEntry kEngines[] = {
     {"cp", &solve_cp},
     {"iqp", &solve_iqp},
-    {"portfolio", &solve_portfolio},
 };
 
 }  // namespace

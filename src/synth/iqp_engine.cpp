@@ -4,7 +4,6 @@
 #include <map>
 
 #include "obs/trace.hpp"
-#include "support/log.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 
@@ -461,14 +460,9 @@ Result<SynthesisResult> IqpBuilder::run() {
     obs::TraceSpan build_span("iqp.build_model");
     build_model();
   }
-  if (params_.log) {
-    log_info("iqp: model has ", model_.num_vars(), " vars, ",
-             model_.num_constraints(), " constraints");
-  }
   opt::MilpParams milp = params_.milp;
   milp.deadline = support::Deadline::sooner(milp.deadline, params_.deadline);
   milp.stop = params_.stop;
-  milp.log = params_.log;
   if (milp.jobs == 1) milp.jobs = params_.jobs;
   const opt::Solution sol = opt::solve_milp(model_, milp);
   switch (sol.status) {

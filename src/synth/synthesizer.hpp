@@ -13,9 +13,9 @@
 ///   if (result.ok()) { ... result->flow_length_mm ... }
 /// \endcode
 ///
-/// Engines are selected by name (SynthesisOptions::engine: "cp", "iqp",
-/// "portfolio", resolved through engine_from_string()); BatchSynthesizer
-/// fans a sweep of independent specs out over a thread pool.
+/// Engines are selected by name (SynthesisOptions::engine: "cp" or "iqp",
+/// resolved through engine_from_string()); BatchSynthesizer fans a sweep of
+/// independent specs out over a thread pool.
 
 #include <memory>
 #include <string>
@@ -41,9 +41,8 @@ enum class PressureMode {
 
 struct SynthesisOptions {
   /// Engine name as registered in engine_from_string(): "cp" (default,
-  /// fast on all policies), "iqp" (the paper's model) or "portfolio"
-  /// (parallel race; see portfolio.hpp). An unknown name surfaces as
-  /// kNotFound from synthesize().
+  /// fast on all policies) or "iqp" (the paper's model). An unknown name
+  /// surfaces as kNotFound from synthesize().
   std::string engine = "cp";
   EngineParams engine_params;
   ValveReductionRule reduction = ValveReductionRule::kPaper;
@@ -85,9 +84,10 @@ class Synthesizer {
 Result<SynthesisResult> synthesize(const ProblemSpec& spec,
                                    const SynthesisOptions& options = {});
 
-/// Synthesizes many independent specs concurrently — the sweep counterpart
-/// of the portfolio (which parallelizes a single solve). Each spec runs the
-/// full Synthesizer pipeline on a pool worker with identical options.
+/// Synthesizes many independent specs concurrently. Each spec runs the full
+/// Synthesizer pipeline on a pool worker with identical options; only a
+/// clockwise solve whose first subtree is large starts a pool of its own
+/// (EngineParams::jobs).
 class BatchSynthesizer {
  public:
   explicit BatchSynthesizer(SynthesisOptions options = {})

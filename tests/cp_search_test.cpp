@@ -1,4 +1,5 @@
-// CP search: verified symmetry breaking and — the ground truth —
+// CP search: verified symmetry breaking, the clockwise first-pin split
+// (the same answer at every job count) and — the ground truth —
 // verdict/objective parity between the default search, the unreduced
 // search (cp_symmetry off) and the independent IQP model on randomized
 // instances. The Learning* suite names predate the removal of nogood
@@ -6,15 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <ostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/crossbar.hpp"
 #include "arch/paths.hpp"
 #include "cases/artificial.hpp"
+#include "cases/cases.hpp"
+#include "obs/obs.hpp"
+#include "support/executor.hpp"
+#include "support/json.hpp"
+#include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
 #include "synth/cp_symmetry.hpp"
 #include "synth/iqp_engine.hpp"
-#include "synth/portfolio.hpp"
 
 namespace mlsi::synth {
 namespace {
@@ -47,6 +56,35 @@ TEST(SymmetryTest, EightPinCrossbarVerifiesItsRotationGroup) {
     EXPECT_EQ(syms.orbit_min(pin), pin % 2) << "pin " << pin;
   }
 }
+
+class CrossbarRotationTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CrossbarRotationTest, AllShortestPathsVerifyTheFourRotations) {
+  // With every shortest path kept, the path set is closed under the
+  // crossbar's rotations on 8, 12 and 16 pins alike (reflections never
+  // verify). A rotation by one side shifts the clockwise pin index by k,
+  // so the orbit representatives are the first side's k pins. The default
+  // cap of 16 paths per pair drops shortest paths on 12 and 16 pins (488 of
+  // 504, 1,396 of 1,948), and there only the identity verifies.
+  const int k = GetParam();
+  const arch::SwitchTopology topo = arch::make_crossbar(k);
+  arch::PathEnumOptions all_shortest;
+  all_shortest.max_paths_per_pair = 1 << 20;
+  const arch::PathSet paths = arch::enumerate_paths(topo, all_shortest);
+  const PinSymmetries syms = compute_pin_symmetries(topo, paths);
+  EXPECT_EQ(syms.group_size(), 4);
+  for (int pin = 0; pin < topo.num_pins(); ++pin) {
+    EXPECT_EQ(syms.orbit_min(pin), pin % k) << "pin " << pin;
+  }
+  const arch::PathSet capped = arch::enumerate_paths(topo);
+  EXPECT_EQ(compute_pin_symmetries(topo, capped).group_size(), k == 2 ? 4 : 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllShortest, CrossbarRotationTest, ::testing::Values(2, 3, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "pins" + std::to_string(4 * info.param);
+    });
 
 TEST(SymmetryTest, OrbitMinFollowsTheCycle) {
   PinSymmetries syms({{1, 2, 3, 0}});
@@ -138,8 +176,7 @@ TEST(LearningParityTest, CrossCheckedAgainstIqp) {
   // proves each fixed-policy instance in under a second, but reaches the
   // deadline without a verdict on every clockwise and unfixed one (it
   // cannot prove the small unfixed models even at 150 s), so those are
-  // skipped before solving; LearningPortfolioTest still races the IQP
-  // engine on them.
+  // skipped before solving.
   int compared = 0;
   for (int v = 0; v < 24; ++v) {
     cases::ArtificialParams params = fuzz_case(v);
@@ -187,24 +224,170 @@ TEST(LearningDeterminismTest, RepeatSolvesAreIdentical) {
   EXPECT_EQ(first->stats.nodes, second->stats.nodes);
 }
 
-TEST(LearningPortfolioTest, ConcurrentRacersStayExact) {
-  // The cp racer and the iqp racer share an incumbent; run under TSan in
-  // check.sh. Verdicts must agree with a standalone cp solve.
-  for (int v = 0; v < 6; ++v) {
-    cases::ArtificialParams params = fuzz_case(v);
-    params.pins_per_side = 2;
+// --- Clockwise first-pin split ---------------------------------------------
+
+EngineParams params_with_jobs(int jobs) {
+  EngineParams p;
+  p.deadline = support::Deadline::after(300.0);
+  p.jobs = jobs;
+  return p;
+}
+
+/// The split must return exactly the serial design: the same verdict,
+/// binding, set and path id per flow, objective and proven flag.
+void expect_same_answer(const Result<SynthesisResult>& serial,
+                        const Result<SynthesisResult>& split,
+                        const std::string& what) {
+  ASSERT_EQ(serial.ok(), split.ok())
+      << what << ": serial=" << serial.status().to_string()
+      << " split=" << split.status().to_string();
+  if (!serial.ok()) {
+    EXPECT_EQ(serial.status().code(), split.status().code()) << what;
+    return;
+  }
+  EXPECT_EQ(serial->binding, split->binding) << what;
+  ASSERT_EQ(serial->routed.size(), split->routed.size()) << what;
+  for (std::size_t i = 0; i < serial->routed.size(); ++i) {
+    EXPECT_EQ(serial->routed[i].set, split->routed[i].set)
+        << what << " flow " << i;
+    EXPECT_EQ(serial->routed[i].path.id, split->routed[i].path.id)
+        << what << " flow " << i;
+  }
+  EXPECT_EQ(serial->objective, split->objective) << what;
+  EXPECT_EQ(serial->stats.proven_optimal, split->stats.proven_optimal) << what;
+}
+
+struct ClockwiseCase {
+  const char* name;
+  ProblemSpec (*make)(BindingPolicy);  ///< called with kClockwise
+  /// Nodes the serial search explores; the split explores exactly as many
+  /// because the first subtree already holds the optimum. 0: not pinned.
+  long nodes;
+};
+
+// Without this gtest lists the case as its raw bytes, pointers included,
+// so the test names ctest discovers would change from build to build.
+void PrintTo(const ClockwiseCase& c, std::ostream* os) { *os << c.name; }
+
+class ClockwiseSplitParityTest
+    : public ::testing::TestWithParam<ClockwiseCase> {};
+
+TEST_P(ClockwiseSplitParityTest, SameAnswerAtEveryJobCount) {
+  const ClockwiseCase& param = GetParam();
+  const ProblemSpec spec = param.make(BindingPolicy::kClockwise);
+  ASSERT_EQ(spec.policy, BindingPolicy::kClockwise);
+  const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+  const arch::PathSet paths = arch::enumerate_paths(topo);
+  const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
+  const auto two = solve_cp(topo, paths, spec, params_with_jobs(2));
+  const auto four = solve_cp(topo, paths, spec, params_with_jobs(4));
+  expect_same_answer(serial, two, "jobs 2");
+  expect_same_answer(serial, four, "jobs 4");
+  if (!serial.ok()) return;
+  EXPECT_TRUE(serial->stats.proven_optimal);
+  EXPECT_EQ(two->stats.nodes, four->stats.nodes);
+  if (param.nodes > 0) {
+    EXPECT_EQ(serial->stats.nodes, param.nodes);
+    EXPECT_EQ(four->stats.nodes, param.nodes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperCases, ClockwiseSplitParityTest,
+    ::testing::Values(
+        ClockwiseCase{"chip1_cw", cases::chip_sw1, 76'855},
+        ClockwiseCase{"chip2_cw", cases::chip_sw2, 411'497},
+        ClockwiseCase{"kin1_cw", cases::kinase_sw1, 0},
+        ClockwiseCase{"kin2_cw", cases::kinase_sw2, 0},
+        ClockwiseCase{"na_cw", cases::nucleic_acid, 0},
+        ClockwiseCase{"mrna_cw", cases::mrna_isolation, 0},
+        ClockwiseCase{"mrna13_cw", cases::mrna_13, 767'273},
+        ClockwiseCase{"table42",
+                      [](BindingPolicy) { return cases::table42_example(); },
+                      246'496}),
+    [](const ::testing::TestParamInfo<ClockwiseCase>& info) {
+      return info.param.name;
+    });
+
+TEST(ClockwiseSplitTest, FuzzInstancesSameAnswerAtEveryJobCount) {
+  int compared = 0;
+  for (int v = 0; v < 200; ++v) {
+    const cases::ArtificialParams params = fuzz_case(v);
+    if (params.policy != BindingPolicy::kClockwise) continue;
     const ProblemSpec spec = cases::make_artificial(params);
     const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
     const arch::PathSet paths = arch::enumerate_paths(topo);
-    EngineParams p = default_params();
-    p.jobs = 2;
-    const auto raced = solve_portfolio(topo, paths, spec, p);
-    const auto solo = solve_cp(topo, paths, spec, default_params());
-    ASSERT_EQ(raced.ok(), solo.ok()) << spec.name;
-    if (raced.ok()) {
-      EXPECT_NEAR(raced->objective, solo->objective, 1e-6) << spec.name;
-      EXPECT_TRUE(raced->stats.proven_optimal) << spec.name;
+    const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
+    const auto two = solve_cp(topo, paths, spec, params_with_jobs(2));
+    const auto four = solve_cp(topo, paths, spec, params_with_jobs(4));
+    expect_same_answer(serial, two, spec.name + " jobs 2");
+    expect_same_answer(serial, four, spec.name + " jobs 4");
+    if (serial.ok()) {
+      EXPECT_EQ(two->stats.nodes, four->stats.nodes) << spec.name;
     }
+    ++compared;
+  }
+  EXPECT_EQ(compared, 67);  // v = 1, 4, ..., 199
+}
+
+int count_subtree_spans(const std::string& trace) {
+  const auto doc = json::parse(trace);
+  if (!doc.ok() || !doc->is_array()) return -1;
+  int spans = 0;
+  for (const json::Value& ev : doc->as_array()) {
+    if (ev.get_string("name", "").rfind("cp.subtree:", 0) == 0) ++spans;
+  }
+  return spans;
+}
+
+TEST(ClockwiseSplitTest, OnlyALargeFirstSubtreeStartsThePool) {
+  // ChIP sw.2 explores 29,911 nodes under its first pin, so jobs 4 searches
+  // the other 11 first pins on the pool, one cp.subtree span each; kinase
+  // SW2 stays below the threshold and runs serially.
+  auto& tracer = obs::Tracer::instance();
+  const auto spans_of = [&](const ProblemSpec& spec) {
+    const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+    const arch::PathSet paths = arch::enumerate_paths(topo);
+    tracer.reset();
+    tracer.enable();
+    const auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
+    tracer.disable();
+    EXPECT_TRUE(result.ok()) << result.status().to_string();
+    const int spans = count_subtree_spans(tracer.to_json());
+    tracer.reset();
+    return spans;
+  };
+  const ProblemSpec large = cases::chip_sw2(BindingPolicy::kClockwise);
+  EXPECT_EQ(spans_of(large), 4 * large.pins_per_side - 1);
+  EXPECT_EQ(spans_of(cases::kinase_sw2(BindingPolicy::kClockwise)), 0);
+}
+
+TEST(ClockwiseSplitTest, CallerStopReachesTheWorkers) {
+  // The workers poll the caller's token directly: tripping it mid-solve
+  // unwinds promptly and never reports a proof the search did not finish.
+  const ProblemSpec spec = cases::mrna_13(BindingPolicy::kClockwise);
+  const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+  const arch::PathSet paths = arch::enumerate_paths(topo);
+  const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
+  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
+
+  support::StopSource source;
+  EngineParams p = params_with_jobs(4);
+  p.stop = source.token();
+  Result<SynthesisResult> stopped{Status::Internal("not run")};
+  std::thread worker(
+      [&] { stopped = solve_cp(topo, paths, spec, p); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  Timer timer;
+  source.request_stop();
+  worker.join();
+  EXPECT_LT(timer.seconds(), 5.0);
+  if (!stopped.ok()) {
+    EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout);
+  } else if (stopped->stats.proven_optimal) {
+    expect_same_answer(serial, stopped, "finished before the stop");
+  } else {
+    EXPECT_GE(stopped->objective, serial->objective - 1e-9);
   }
 }
 

@@ -133,8 +133,8 @@ TEST(ThreadPoolTest, ClampsThreadCountAndResolvesJobs) {
 }
 
 TEST(ThreadPoolTest, StopTokenCancelsCooperativeWork) {
-  // The portfolio pattern: workers poll a token, the first finisher (or the
-  // coordinator) trips it, everyone unwinds promptly.
+  // The cancellation pattern: workers poll a token, a coordinator trips
+  // it, everyone unwinds promptly.
   StopSource cancel;
   std::atomic<int> unwound{0};
   {

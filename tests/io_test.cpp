@@ -63,6 +63,33 @@ TEST(CaseIoTest, RejectsBrokenDocuments) {
   })")).ok());
 }
 
+TEST(CaseIoTest, RejectsHostileMembersWithoutThrowing) {
+  // A mistyped or out-of-range member of a request's case must come back as
+  // kInvalidArgument: an exception (or a double converted outside int
+  // range) would take mlsi_serve down with it.
+  const char* const members[] = {
+      R"("pins_per_side": 2.5)",
+      R"("pins_per_side": "2")",
+      R"("max_sets": 1e300)",
+      R"("max_sets": -1e300)",
+      R"("conflicts": [["x", 1]])",
+      R"("conflicts": [[0, 1.5]])",
+      R"("clockwise_order": 7)",
+      R"("clockwise_order": [7, "a"])",
+      R"("fixed_binding": {"a": "x"})",
+      R"("fixed_binding": {"a": 1e300})",
+  };
+  for (const char* member : members) {
+    const auto doc = json::parse(
+        cat(R"({"modules": ["a", "b"], "flows": [{"from": "a", "to": "b"}], )",
+            member, "}"));
+    ASSERT_TRUE(doc.ok()) << member;
+    Result<ProblemSpec> spec{Status::Internal("not parsed")};
+    EXPECT_NO_THROW(spec = spec_from_json(*doc)) << member;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << member;
+  }
+}
+
 class RoundTripTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RoundTripTest, BuiltinCasesRoundTrip) {

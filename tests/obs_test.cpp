@@ -387,7 +387,7 @@ TEST_F(ObsTest, TracerSurvivesEmitterThreadExit) {
   Tracer::instance().disable();
   // The emitting thread is gone; its buffer (shared with the registry)
   // still holds the event — this is what lets the CLI write the trace
-  // after the portfolio pool joined.
+  // after the CP search's pool joined.
   EXPECT_EQ(Tracer::instance().event_count(), 1u);
   EXPECT_NE(Tracer::instance().to_json().find("short.lived"),
             std::string::npos);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -234,6 +235,65 @@ TEST_F(PersistentStoreTest, TornTailIsDroppedOnReplay) {
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(*replayed, 1);
   EXPECT_EQ(sunk, 1);
+  store.close();
+}
+
+TEST_F(PersistentStoreTest, HostileEntriesAreSkippedOnReplay) {
+  // A malformed entry is skipped like a torn one; it must not throw out of
+  // the Server constructor. Only the good entry replays.
+  {
+    PersistentStore store;
+    ASSERT_TRUE(store.open(path_, "build-A", [](CacheKey, CachedResult) {}).ok());
+    ASSERT_TRUE(store.append(key_of("good"), value_of(1.0)).ok());
+    store.close();
+  }
+  const std::pair<const char*, json::Value> bad[] = {
+      {"flows", json::Value{json::Array{json::Value{json::Array{
+                    json::Value{"x"}, json::Value{1}}}}}},
+      {"binding", json::Value{json::Array{json::Value{0.5}}}},
+      {"valve_states", json::Value{7}},
+  };
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    for (const auto& [member, value] : bad) {
+      json::Value result = cached_to_json(value_of(2.0));
+      result.as_object()[member] = value;
+      json::Object line;
+      line["key"] = json::Value{std::string{"bad-"} + member};
+      line["result"] = std::move(result);
+      std::fputs((json::Value{std::move(line)}.dump() + "\n").c_str(), f);
+    }
+    std::fclose(f);
+  }
+  PersistentStore store;
+  std::vector<std::string> keys;
+  Result<long> replayed{Status::Internal("not opened")};
+  EXPECT_NO_THROW(replayed = store.open(
+                      path_, "build-A", [&keys](CacheKey key, CachedResult) {
+                        keys.push_back(key.text);
+                      }));
+  ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+  EXPECT_EQ(*replayed, 1);
+  EXPECT_EQ(keys, std::vector<std::string>{"good"});
+  store.close();
+}
+
+TEST_F(PersistentStoreTest, NonIntegralHeaderDiscardsTheStore) {
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"format\":1.5,\"canonical_version\":1e300,"
+               "\"code_version\":\"build-A\"}\n",
+               f);
+    std::fclose(f);
+  }
+  PersistentStore store;
+  Result<long> replayed{Status::Internal("not opened")};
+  EXPECT_NO_THROW(replayed = store.open(path_, "build-A",
+                                        [](CacheKey, CachedResult) {}));
+  ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+  EXPECT_EQ(*replayed, 0);
   store.close();
 }
 
@@ -699,6 +759,33 @@ TEST(ServerTest, StreamAnswersEveryLineIncludingMalformedOnes) {
   }
   EXPECT_EQ(ok_lines, 2);
   EXPECT_EQ(error_lines, 1);
+}
+
+TEST(ServerTest, HostileRequestLineGetsAnErrorAndTheNextIsAnswered) {
+  // A line whose case has a mistyped number gets an error response, and
+  // the daemon goes on to answer the valid line after it.
+  Server server(quiet_options());
+  std::ostringstream requests;
+  requests << R"({"id":"q1","case":{"modules":["a","b"],)"
+           << R"("flows":[{"from":"a","to":"b"}],"pins_per_side":2.5}})"
+           << "\n"
+           << "{\"id\":\"q2\",\"case\":"
+           << io::spec_to_json(demo_spec()).dump() << "}\n";
+  std::istringstream in(requests.str());
+  std::ostringstream out;
+  ASSERT_NO_THROW(ASSERT_TRUE(server.run_stream(in, out).ok()));
+
+  std::map<std::string, std::string> status_of;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto doc = json::parse(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    status_of[doc->get_string("id", "")] = doc->get_string("status", "");
+  }
+  EXPECT_EQ(status_of["q1"], "error");
+  EXPECT_EQ(status_of["q2"], "ok");
+  EXPECT_EQ(status_of.size(), 2u);
 }
 
 TEST(ServeResponseTest, JsonShapeMatchesTheDocumentedProtocol) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "cases/artificial.hpp"
@@ -231,6 +232,10 @@ struct CaseParam {
   ProblemSpec (*make)(BindingPolicy);
   BindingPolicy policy;
 };
+
+// Without this gtest lists the case as its raw bytes, pointers included,
+// so the test names ctest discovers would change from build to build.
+void PrintTo(const CaseParam& c, std::ostream* os) { *os << c.name; }
 
 class PipelineValidationTest : public ::testing::TestWithParam<CaseParam> {};
 

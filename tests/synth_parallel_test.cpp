@@ -1,11 +1,11 @@
 // Tests for the parallel synthesis surface: the engine registry, deadline
-// and stop-token semantics of the engines, the racing portfolio, and the
-// batch sweep runner.
+// and stop-token semantics of the engines, and the batch sweep runner. The
+// cp engine's clockwise first-pin split has its parity suite in
+// cp_search_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <ostream>
 #include <thread>
 
 #include "cases/cases.hpp"
@@ -13,7 +13,6 @@
 #include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
 #include "synth/iqp_engine.hpp"
-#include "synth/portfolio.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace mlsi::synth {
@@ -46,7 +45,7 @@ TEST(EngineRegistryTest, ResolvesEveryRegisteredName) {
   }
   EXPECT_EQ(*engine_from_string("cp"), &solve_cp);
   EXPECT_EQ(*engine_from_string("iqp"), &solve_iqp);
-  EXPECT_EQ(*engine_from_string("portfolio"), &solve_portfolio);
+  EXPECT_EQ(engine_names().size(), 2u);
 }
 
 TEST(EngineRegistryTest, UnknownNameListsAlternatives) {
@@ -54,7 +53,7 @@ TEST(EngineRegistryTest, UnknownNameListsAlternatives) {
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kNotFound);
   EXPECT_NE(engine.status().message().find("cp"), std::string::npos);
-  EXPECT_NE(engine.status().message().find("portfolio"), std::string::npos);
+  EXPECT_NE(engine.status().message().find("iqp"), std::string::npos);
 }
 
 TEST(EngineRegistryTest, SynthesizerSurfacesUnknownEngine) {
@@ -89,7 +88,7 @@ TEST_P(ExpiredDeadlineTest, ReturnsTimeoutImmediately) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ExpiredDeadlineTest,
-                         ::testing::Values("cp", "iqp", "portfolio"));
+                         ::testing::Values("cp", "iqp"));
 
 // --- stop token semantics ----------------------------------------------------
 
@@ -118,7 +117,7 @@ TEST_P(PreTrippedStopTest, ReturnsPromptly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, PreTrippedStopTest,
-                         ::testing::Values("cp", "iqp", "portfolio"));
+                         ::testing::Values("cp", "iqp"));
 
 TEST(StopMidSearchTest, CpUnwindsWithinBoundedTime) {
   // Launch a search that would run for minutes (12-pin unfixed), trip the
@@ -139,137 +138,6 @@ TEST(StopMidSearchTest, CpUnwindsWithinBoundedTime) {
   worker.join();
   EXPECT_LT(timer.seconds(), 5.0)
       << "stop was requested but the dive kept running";
-}
-
-TEST(StopMidSearchTest, PortfolioForwardsCallerCancellation) {
-  const ProblemSpec spec = cases::mrna_isolation(BindingPolicy::kUnfixed);
-  Synthesizer syn(spec);
-  support::StopSource source;
-  EngineParams ep;
-  ep.stop = source.token();
-  ep.deadline = support::Deadline::after(600.0);
-  ep.jobs = 2;
-
-  std::thread worker([&] {
-    (void)solve_portfolio(syn.topology(), syn.paths(), spec, ep);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  Timer timer;
-  source.request_stop();
-  worker.join();
-  EXPECT_LT(timer.seconds(), 5.0)
-      << "caller cancellation was not forwarded to the racers";
-}
-
-// --- portfolio correctness ---------------------------------------------------
-
-struct PortfolioCase {
-  const char* name;
-  ProblemSpec (*make)(BindingPolicy);
-  BindingPolicy policy;
-};
-
-// Without this gtest lists the case as its raw bytes, pointers included,
-// so the test names ctest discovers would change from build to build.
-void PrintTo(const PortfolioCase& c, std::ostream* os) { *os << c.name; }
-
-class PortfolioParityTest : public ::testing::TestWithParam<PortfolioCase> {};
-
-TEST_P(PortfolioParityTest, MatchesSerialCpObjective) {
-  // The acceptance criterion: on the Table 4.1 cases the portfolio must
-  // report exactly the objective the serial CP engine proves optimal.
-  const PortfolioCase& param = GetParam();
-  const ProblemSpec spec = param.make(param.policy);
-  Synthesizer syn(spec);
-  EngineParams serial;
-  serial.deadline = support::Deadline::after(120.0);
-  EngineParams raced = serial;
-  raced.jobs = 4;
-
-  const auto cp = solve_cp(syn.topology(), syn.paths(), spec, serial);
-  const auto portfolio =
-      solve_portfolio(syn.topology(), syn.paths(), spec, raced);
-  ASSERT_EQ(cp.ok(), portfolio.ok())
-      << "cp=" << cp.status().to_string()
-      << " portfolio=" << portfolio.status().to_string();
-  if (!cp.ok()) {
-    EXPECT_EQ(cp.status().code(), StatusCode::kInfeasible);
-    EXPECT_EQ(portfolio.status().code(), StatusCode::kInfeasible);
-    return;
-  }
-  ASSERT_TRUE(cp->stats.proven_optimal);
-  EXPECT_TRUE(portfolio->stats.proven_optimal);
-  EXPECT_NEAR(portfolio->objective, cp->objective, 1e-9);
-  EXPECT_EQ(portfolio->num_sets, cp->num_sets);
-  EXPECT_NE(portfolio->stats.engine.find("portfolio("), std::string::npos);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Table41, PortfolioParityTest,
-    ::testing::Values(
-        PortfolioCase{"chip1_cw", cases::chip_sw1, BindingPolicy::kClockwise},
-        PortfolioCase{"chip2_cw", cases::chip_sw2, BindingPolicy::kClockwise},
-        PortfolioCase{"kin1_cw", cases::kinase_sw1, BindingPolicy::kClockwise},
-        PortfolioCase{"kin2_cw", cases::kinase_sw2, BindingPolicy::kClockwise},
-        PortfolioCase{"na_cw", cases::nucleic_acid, BindingPolicy::kClockwise},
-        PortfolioCase{"chip1_fixed", cases::chip_sw1, BindingPolicy::kFixed},
-        PortfolioCase{"kin1_fixed", cases::kinase_sw1, BindingPolicy::kFixed}),
-    [](const ::testing::TestParamInfo<PortfolioCase>& info) {
-      return info.param.name;
-    });
-
-TEST(PortfolioTest, InfeasibilityIsReportedNotMaskedAsTimeout) {
-  // nucleic acid under fixed binding is infeasible (Table 4.1); the CP racer
-  // proving that cancels the IQP racer, and the combined status must still
-  // be kInfeasible, not the cancelled racer's kTimeout.
-  const ProblemSpec spec = cases::nucleic_acid(BindingPolicy::kFixed);
-  Synthesizer syn(spec);
-  EngineParams ep;
-  ep.deadline = support::Deadline::after(120.0);
-  ep.jobs = 2;
-  const auto result = solve_portfolio(syn.topology(), syn.paths(), spec, ep);
-  EXPECT_EQ(result.status().code(), StatusCode::kInfeasible);
-}
-
-TEST(PortfolioTest, SingleJobStillSolves) {
-  const ProblemSpec spec = quickstart_spec(BindingPolicy::kClockwise);
-  Synthesizer syn(spec);
-  EngineParams ep;
-  ep.jobs = 1;
-  ep.deadline = support::Deadline::after(60.0);
-  const auto result = solve_portfolio(syn.topology(), syn.paths(), spec, ep);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_TRUE(result->stats.proven_optimal);
-}
-
-TEST(PortfolioTest, RepeatedRunsReportTheSameObjective) {
-  // Thread scheduling varies which racer wins; the reported cost must not.
-  const ProblemSpec spec = cases::chip_sw1(BindingPolicy::kClockwise);
-  Synthesizer syn(spec);
-  EngineParams ep;
-  ep.deadline = support::Deadline::after(120.0);
-  ep.jobs = 4;
-  double first = -1.0;
-  for (int run = 0; run < 3; ++run) {
-    const auto result =
-        solve_portfolio(syn.topology(), syn.paths(), spec, ep);
-    ASSERT_TRUE(result.ok()) << result.status().to_string();
-    ASSERT_TRUE(result->stats.proven_optimal);
-    if (run == 0) {
-      first = result->objective;
-    } else {
-      EXPECT_DOUBLE_EQ(result->objective, first);
-    }
-  }
-}
-
-TEST(PortfolioTest, RejectsInvalidSpec) {
-  ProblemSpec bad = quickstart_spec(BindingPolicy::kUnfixed);
-  bad.flows.push_back({0, 2});  // outlet accessed twice
-  Synthesizer syn(quickstart_spec(BindingPolicy::kUnfixed));
-  const auto result =
-      solve_portfolio(syn.topology(), syn.paths(), bad, {});
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- batch sweeps ------------------------------------------------------------

@@ -60,7 +60,7 @@ using namespace mlsi;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--socket F] [--engine cp|iqp|portfolio] [--jobs N]\n"
+               "usage: %s [--socket F] [--engine cp|iqp] [--jobs N]\n"
                "       [--cache-size N] [--shards N] [--persist F]\n"
                "       [--queue-depth N] [--time-limit S] [--metrics-out F]\n"
                "       [--trace-out F] [--flight-rec F] [--quiet]\n",

@@ -5,8 +5,10 @@
 //
 // Options:
 //   --policy fixed|clockwise|unfixed   override the case's binding policy
-//   --engine cp|iqp|portfolio          synthesis engine (default cp)
-//   --jobs N                           worker threads for --engine portfolio
+//   --engine cp|iqp                    synthesis engine (default cp)
+//   --jobs N                           worker threads for a large clockwise
+//                                      cp solve, which splits its first-pin
+//                                      loop and returns the serial answer
 //                                      (default 0 = all hardware threads)
 //   --time-limit <seconds>             wall budget (default 120)
 //   --pressure off|greedy|ilp          pressure sharing (default ilp)
@@ -28,8 +30,7 @@
 //   --metrics-out <path>               write the metrics registry snapshot
 //                                      (counters/histograms/series) as JSON
 //   --search-log <path>                stream solver search events (node,
-//                                      prune, branch, incumbent, racer
-//                                      lifecycle) as JSONL
+//                                      prune, branch, incumbent) as JSONL
 //   --quiet                            suppress the human-readable report
 //
 // Exit codes: 0 success (validated), 2 infeasible, 3 budget exhausted,
@@ -58,7 +59,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s <case.json> [--policy fixed|clockwise|unfixed]\n"
-      "       [--engine cp|iqp|portfolio] [--jobs N] [--time-limit S]\n"
+      "       [--engine cp|iqp] [--jobs N] [--time-limit S]\n"
       "       [--pressure off|greedy|ilp] [--no-reduction]\n"
       "       [--cp-symmetry on|off] [--svg F]\n"
       "       [--control F] [--json F] [--export-lp F] [--trace-out F]\n"
