@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "arch/crossbar.hpp"
 #include "arch/gru.hpp"
 #include "arch/design_rules.hpp"
 #include "bench_util.hpp"

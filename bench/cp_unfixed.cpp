@@ -1,7 +1,8 @@
 // Symmetry-breaking ablation on the unfixed-binding cases: the CP search
 // with binding symmetry breaking off (cp_symmetry = false — the full
-// binding space) vs the default search (verified lex-leader symmetry
-// breaking).
+// binding space) vs the default search (the first binding restricted to
+// one pin per orbit of the verified switch symmetries, or to the first
+// side of the crossbar where only the identity verifies).
 //
 // Shape to reproduce: identical proven objective on every case (the
 // pruning is exact), with the default search visiting a fraction of the

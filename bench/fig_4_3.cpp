@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "arch/crossbar.hpp"
 #include "bench_util.hpp"
 #include "cases/cases.hpp"
 

@@ -11,8 +11,9 @@
 # UBSan (the sparse LU and eta-file code is pointer-heavy; the recorder's
 # dump path formats into fixed buffers; the parsers take hostile bytes),
 # and the concurrency tests (thread pool, stop tokens, the cp engine's
-# clockwise first-pin split, serve cache/coalescing, obs emission, metrics
-# snapshots under mutation) again under ThreadSanitizer.
+# clockwise first-pin split, the shared switch-model map, serve
+# cache/coalescing, obs emission, metrics snapshots under mutation) again
+# under ThreadSanitizer.
 #
 #   scripts/check.sh            # from the repo root
 #
@@ -42,9 +43,9 @@ cmake --build build -j "$(nproc)" --target serve_throughput
 build/bench/serve_throughput --smoke
 
 # CP symmetry-breaking smoke: on the pinned hardest unfixed case the
-# default search (verified lex-leader symmetry breaking) must prove the
-# same optimum as the search over the full binding space within 50% of
-# its nodes, exploring exactly the pinned node count.
+# default search (first binding restricted to one pin per symmetry orbit)
+# must prove the same optimum as the search over the full binding space
+# within 50% of its nodes, exploring exactly the pinned node count.
 cmake --build build -j "$(nproc)" --target cp_unfixed
 build/bench/cp_unfixed --smoke
 
@@ -158,9 +159,11 @@ build-asan/tests/serve_test \
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
     --target exec_test obs_test opt_milp_test synth_parallel_test \
-    serve_test cp_search_test mlsi_synth_cli
+    serve_test cp_search_test arch_paths_test mlsi_synth_cli
 build-tsan/tests/exec_test
 build-tsan/tests/obs_test
+# The process-wide switch-model map: racing first callers share one build.
+build-tsan/tests/arch_paths_test --gtest_filter='SwitchModelTest.*'
 # Serving layer under TSan: sharded LRU, coalesced flights, admission
 # queue and persistence, all driven by genuinely concurrent clients.
 build-tsan/tests/serve_test

@@ -152,14 +152,4 @@ SwitchTopology make_crossbar(int pins_per_side, const CrossbarGeometry& geom) {
   return topo;
 }
 
-Result<SwitchTopology> make_for_module_count(int module_count,
-                                             const CrossbarGeometry& g) {
-  for (const int k : {2, 3, 4}) {
-    if (module_count <= 4 * k) return make_crossbar(k, g);
-  }
-  return Status::InvalidArgument(
-      cat("no switch model supports ", module_count,
-          " connected modules (16-pin is the largest)"));
-}
-
 }  // namespace mlsi::arch

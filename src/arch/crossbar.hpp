@@ -27,25 +27,9 @@ struct CrossbarGeometry {
 };
 
 /// Builds the k-pins-per-side crossbar switch (k >= 2). The paper's sizes:
-/// k = 2 -> 8-pin, k = 3 -> 12-pin, k = 4 -> 16-pin.
+/// k = 2 -> 8-pin, k = 3 -> 12-pin, k = 4 -> 16-pin. Synthesis uses the
+/// shared default-geometry model of switch_model() (paths.hpp) instead.
 SwitchTopology make_crossbar(int pins_per_side,
                              const CrossbarGeometry& geom = {});
-
-/// Paper-named conveniences.
-inline SwitchTopology make_8pin(const CrossbarGeometry& g = {}) {
-  return make_crossbar(2, g);
-}
-inline SwitchTopology make_12pin(const CrossbarGeometry& g = {}) {
-  return make_crossbar(3, g);
-}
-inline SwitchTopology make_16pin(const CrossbarGeometry& g = {}) {
-  return make_crossbar(4, g);
-}
-
-/// Builds the switch size that fits \p module_count connected modules:
-/// the smallest of 8/12/16-pin with at least that many pins.
-/// Returns kInvalidArgument above 16 modules (the paper's largest switch).
-Result<SwitchTopology> make_for_module_count(int module_count,
-                                             const CrossbarGeometry& g = {});
 
 }  // namespace mlsi::arch

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <queue>
+#include <tuple>
 
+#include "arch/crossbar.hpp"
+#include "obs/trace.hpp"
 #include "support/strings.hpp"
 
 namespace mlsi::arch {
@@ -134,6 +140,7 @@ PathSet::PathSet(const SwitchTopology* topo, std::vector<Path> paths)
     by_pair_[static_cast<std::size_t>(fi) * n_pins + static_cast<std::size_t>(ti)]
         .push_back(p.id);
   }
+  symmetries_ = compute_pin_symmetries(*topo_, paths_);
 }
 
 const Path& PathSet::path(int id) const {
@@ -172,6 +179,22 @@ PathSet enumerate_paths(const SwitchTopology& topo,
     }
   }
   return PathSet(&topo, std::move(all));
+}
+
+const SwitchModel& switch_model(int pins_per_side,
+                                const PathEnumOptions& options) {
+  using Key = std::tuple<int, double, int>;
+  static std::mutex mutex;
+  static std::map<Key, std::unique_ptr<const SwitchModel>> models;
+  const Key key{pins_per_side, options.slack_um, options.max_paths_per_pair};
+  // Held across the build, so racing first callers wait for the one build.
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& model = models[key];
+  if (model == nullptr) {
+    obs::TraceSpan span("arch.switch_model");
+    model = std::make_unique<SwitchModel>(make_crossbar(pins_per_side), options);
+  }
+  return *model;
 }
 
 }  // namespace mlsi::arch

@@ -9,9 +9,15 @@
 /// ordered pin pair, all minimum-length simple paths (optionally with extra
 /// length slack), capped per pair for model-size control. Paths never pass
 /// *through* a third pin: a pin is a channel end.
+///
+/// The switch model a synthesis runs on — topology, candidate paths and
+/// their verified symmetries — depends only on the switch size and the path
+/// options, so switch_model() builds each one once per process and every
+/// caller (Synthesizer, the serving layer) shares it.
 
 #include <vector>
 
+#include "arch/symmetry.hpp"
 #include "arch/topology.hpp"
 
 namespace mlsi::arch {
@@ -45,6 +51,7 @@ struct PathEnumOptions {
 /// All candidate paths of a topology.
 class PathSet {
  public:
+  /// Indexes \p paths and verifies the pin symmetries of (topology, paths).
   PathSet(const SwitchTopology* topo, std::vector<Path> paths);
 
   [[nodiscard]] const SwitchTopology& topology() const { return *topo_; }
@@ -55,16 +62,44 @@ class PathSet {
   /// Path ids for the ordered pair (from_pin, to_pin), shortest first.
   [[nodiscard]] const std::vector<int>& between(int from_pin, int to_pin) const;
 
+  /// The plane symmetries that map the topology and this path set onto
+  /// themselves, verified once at construction (symmetry.hpp).
+  [[nodiscard]] const PinSymmetries& pin_symmetries() const {
+    return symmetries_;
+  }
+
  private:
   const SwitchTopology* topo_;
   std::vector<Path> paths_;
   // Indexed by from_pin_index * num_pins + to_pin_index.
   std::vector<std::vector<int>> by_pair_;
   std::vector<int> empty_;
+  PinSymmetries symmetries_;
 };
 
 /// Enumerates candidate paths for every ordered pin pair of \p topo.
 PathSet enumerate_paths(const SwitchTopology& topo,
                         const PathEnumOptions& options = {});
+
+/// An immutable crossbar and its candidate paths; `paths` points into
+/// `topology`, so a model never moves.
+struct SwitchModel {
+  SwitchModel(SwitchTopology topo, const PathEnumOptions& options)
+      : topology(std::move(topo)), paths(enumerate_paths(topology, options)) {}
+  SwitchModel(const SwitchModel&) = delete;
+  SwitchModel& operator=(const SwitchModel&) = delete;
+
+  const SwitchTopology topology;
+  const PathSet paths;
+};
+
+/// The default-geometry crossbar with \p pins_per_side pins per side and
+/// its paths under \p options, built on the first call for that key and
+/// shared by every later one. Models are never evicted: a validated spec
+/// has one of three switch sizes, and path options come from program or
+/// server options, never from a request. Thread-safe; the reference stays
+/// valid for the life of the process.
+[[nodiscard]] const SwitchModel& switch_model(
+    int pins_per_side, const PathEnumOptions& options = {});
 
 }  // namespace mlsi::arch

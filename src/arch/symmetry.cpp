@@ -1,12 +1,13 @@
-#include "synth/cp_symmetry.hpp"
+#include "arch/symmetry.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <set>
 
-namespace mlsi::synth {
+#include "arch/paths.hpp"
+
+namespace mlsi::arch {
 namespace {
 
 /// Vertex positions match within this absolute tolerance (micrometres);
@@ -34,19 +35,19 @@ constexpr Isometry kCandidates[] = {
 
 /// Vertex permutation induced by \p iso, or empty when some vertex has no
 /// kind-matching image at the transformed position.
-std::vector<int> vertex_permutation(const arch::SwitchTopology& topo,
+std::vector<int> vertex_permutation(const SwitchTopology& topo,
                                     const Isometry& iso, double cx,
                                     double cy) {
   const auto& vertices = topo.vertices();
   std::vector<int> map(vertices.size(), -1);
   std::vector<char> taken(vertices.size(), 0);
-  for (const arch::Vertex& v : vertices) {
+  for (const Vertex& v : vertices) {
     const double dx = v.pos.x - cx;
     const double dy = v.pos.y - cy;
     const double tx = cx + iso.fx(dx, dy);
     const double ty = cy + iso.fy(dx, dy);
     int image = -1;
-    for (const arch::Vertex& w : vertices) {
+    for (const Vertex& w : vertices) {
       if (std::abs(w.pos.x - tx) <= kPosTol &&
           std::abs(w.pos.y - ty) <= kPosTol) {
         image = w.id;
@@ -64,9 +65,9 @@ std::vector<int> vertex_permutation(const arch::SwitchTopology& topo,
 }
 
 /// True when every segment maps to a segment of (nearly) equal length.
-bool preserves_segments(const arch::SwitchTopology& topo,
+bool preserves_segments(const SwitchTopology& topo,
                         const std::vector<int>& map) {
-  for (const arch::Segment& s : topo.segments()) {
+  for (const Segment& s : topo.segments()) {
     const auto image = topo.segment_between(map[static_cast<std::size_t>(s.a)],
                                             map[static_cast<std::size_t>(s.b)]);
     if (!image.has_value()) return false;
@@ -81,11 +82,11 @@ bool preserves_segments(const arch::SwitchTopology& topo,
 
 /// True when the image of every enumerated candidate path is itself an
 /// enumerated candidate path (as an ordered vertex sequence).
-bool preserves_paths(const arch::PathSet& paths,
+bool preserves_paths(const std::vector<Path>& paths,
                      const std::set<std::vector<int>>& sequences,
                      const std::vector<int>& map) {
   std::vector<int> image;
-  for (const arch::Path& p : paths.paths()) {
+  for (const Path& p : paths) {
     image.clear();
     image.reserve(p.vertices.size());
     for (const int v : p.vertices) {
@@ -106,15 +107,15 @@ int PinSymmetries::orbit_min(int pin) const {
   return best;
 }
 
-PinSymmetries compute_pin_symmetries(const arch::SwitchTopology& topo,
-                                     const arch::PathSet& paths) {
+PinSymmetries compute_pin_symmetries(const SwitchTopology& topo,
+                                     const std::vector<Path>& paths) {
   if (topo.num_vertices() == 0 || topo.num_pins() == 0) return {};
 
   double min_x = std::numeric_limits<double>::infinity();
   double max_x = -std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
   double max_y = -std::numeric_limits<double>::infinity();
-  for (const arch::Vertex& v : topo.vertices()) {
+  for (const Vertex& v : topo.vertices()) {
     min_x = std::min(min_x, v.pos.x);
     max_x = std::max(max_x, v.pos.x);
     min_y = std::min(min_y, v.pos.y);
@@ -124,7 +125,7 @@ PinSymmetries compute_pin_symmetries(const arch::SwitchTopology& topo,
   const double cy = (min_y + max_y) / 2.0;
 
   std::set<std::vector<int>> sequences;
-  for (const arch::Path& p : paths.paths()) sequences.insert(p.vertices);
+  for (const Path& p : paths) sequences.insert(p.vertices);
 
   std::vector<std::vector<int>> perms;
   for (const Isometry& iso : kCandidates) {
@@ -154,23 +155,4 @@ PinSymmetries compute_pin_symmetries(const arch::SwitchTopology& topo,
   return PinSymmetries(std::move(perms));
 }
 
-bool SymmetryBreaker::admits(const std::vector<int>& module_pin, int module,
-                             int pin) const {
-  if (syms_ == nullptr || !syms_->nontrivial()) return true;
-  for (const auto& perm : syms_->perms()) {
-    // Compare perm(B) against B lexicographically over the fixed module
-    // order, where B is module_pin extended with module -> pin. Stop at the
-    // first unbound module: positions past a hole are undecided and cannot
-    // prove anything.
-    for (const int m : module_order_) {
-      const int b = m == module ? pin : module_pin[static_cast<std::size_t>(m)];
-      if (b < 0) break;  // undecided under this symmetry
-      const int pb = perm[static_cast<std::size_t>(b)];
-      if (pb < b) return false;  // perm(B) provably lex-smaller: reject
-      if (pb > b) break;         // perm(B) provably lex-larger: accept
-    }
-  }
-  return true;
-}
-
-}  // namespace mlsi::synth
+}  // namespace mlsi::arch

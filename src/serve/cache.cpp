@@ -199,22 +199,22 @@ Result<CachedResult> cached_from_json(const Value& doc) {
   if (const Value* stats = doc.find("stats"); stats != nullptr) {
     c.stats.engine = stats->get_string("engine", "cached");
     c.stats.runtime_s = stats->get_number("runtime_s", 0.0);
-    c.stats.nodes = static_cast<long>(stats->get_number("nodes", 0.0));
     c.stats.proven_optimal = stats->get_bool("proven_optimal", true);
-    c.stats.lp_iterations =
-        static_cast<long>(stats->get_number("lp_iterations", 0.0));
-    c.stats.lp_factorizations =
-        static_cast<long>(stats->get_number("lp_factorizations", 0.0));
-    c.stats.warm_starts =
-        static_cast<long>(stats->get_number("warm_starts", 0.0));
-    c.stats.cold_starts =
-        static_cast<long>(stats->get_number("cold_starts", 0.0));
-    c.stats.cuts_generated =
-        static_cast<long>(stats->get_number("cuts_generated", 0.0));
-    c.stats.cuts_applied =
-        static_cast<long>(stats->get_number("cuts_applied", 0.0));
-    c.stats.cuts_dropped =
-        static_cast<long>(stats->get_number("cuts_dropped", 0.0));
+    const std::pair<const char*, long*> counters[] = {
+        {"nodes", &c.stats.nodes},
+        {"lp_iterations", &c.stats.lp_iterations},
+        {"lp_factorizations", &c.stats.lp_factorizations},
+        {"warm_starts", &c.stats.warm_starts},
+        {"cold_starts", &c.stats.cold_starts},
+        {"cuts_generated", &c.stats.cuts_generated},
+        {"cuts_applied", &c.stats.cuts_applied},
+        {"cuts_dropped", &c.stats.cuts_dropped},
+    };
+    for (const auto& [name, field] : counters) {
+      const auto n = json::read_long(stats->find(name), name);
+      if (!n.ok()) return n.status();
+      *field = *n;
+    }
   }
   return c;
 }

@@ -51,10 +51,7 @@ CanonicalRequest canonicalize(const synth::ProblemSpec& spec,
       ",press=", pressure_name(options.pressure),
       ",slack=", fmt_exact(options.path_options.slack_um),
       ",maxpp=", options.path_options.max_paths_per_pair,
-      ",geom=", fmt_exact(options.geometry.pitch_um), "/",
-      fmt_exact(options.geometry.stub_um), "/",
-      fmt_exact(options.geometry.margin_um), ";ver=", kCanonicalVersion, "/",
-      code_version);
+      ";ver=", kCanonicalVersion, "/", code_version);
   req.key.hash = fnv1a64(req.key.text);
   return req;
 }

@@ -6,8 +6,8 @@
 /// A key canonicalizes everything that determines a synthesis *answer*:
 /// the spec's relabeling-invariant canonical form
 /// (synth::ProblemSpec::canonical_form()), the synthesis options that shape
-/// the result (engine, valve reduction, pressure mode, path enumeration,
-/// crossbar geometry), the canonical-format version and the code version.
+/// the result (engine, valve reduction, pressure mode, path enumeration),
+/// the canonical-format version and the code version.
 /// Two requests with equal keys receive byte-identical answers (modulo
 /// per-request timing), no matter how their modules and flows were labeled.
 ///
@@ -32,7 +32,7 @@ namespace mlsi::serve {
 
 /// Bump on any change to the canonical text layout or to the cached-result
 /// serialization; persisted caches from other versions are discarded.
-inline constexpr int kCanonicalVersion = 1;
+inline constexpr int kCanonicalVersion = 2;
 
 /// FNV-1a 64-bit hash.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "arch/paths.hpp"
 #include "io/case_io.hpp"
 #include "obs/flight_rec.hpp"
 #include "obs/metrics.hpp"
@@ -214,18 +215,6 @@ ServeResponse Server::handle_control(const std::string& cmd, std::string id) {
   return resp;
 }
 
-const Server::Bundle& Server::bundle_for(int pins_per_side) {
-  std::lock_guard<std::mutex> lock(bundles_mutex_);
-  Bundle& b = bundles_[pins_per_side];
-  if (b.topo == nullptr) {
-    b.topo = std::make_unique<arch::SwitchTopology>(
-        arch::make_crossbar(pins_per_side, options_.synth.geometry));
-    b.paths = std::make_unique<arch::PathSet>(
-        arch::enumerate_paths(*b.topo, options_.synth.path_options));
-  }
-  return b;
-}
-
 ServeResponse Server::respond(const ServeRequest& request,
                               const CanonicalRequest& canon,
                               const CachedResult& value, Timer t0, bool cached,
@@ -236,9 +225,10 @@ ServeResponse Server::respond(const ServeRequest& request,
   resp.cached = cached;
   resp.coalesced = coalesced;
   const Timer t_permute;
-  const Bundle& bundle = bundle_for(request.spec.effective_pins_per_side());
-  const synth::SynthesisResult result = to_result(value, canon, *bundle.paths);
-  resp.result = io::result_to_json(*bundle.topo, request.spec, result);
+  const arch::SwitchModel& model = arch::switch_model(
+      request.spec.effective_pins_per_side(), options_.synth.path_options);
+  const synth::SynthesisResult result = to_result(value, canon, model.paths);
+  resp.result = io::result_to_json(model.topology, request.spec, result);
   // Per-response documents must not embed the process-global metrics
   // snapshot (it is unbounded and differs between fresh and cached paths —
   // the differential guarantee is on the synthesis payload).

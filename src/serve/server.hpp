@@ -14,7 +14,9 @@
 ///  unboundedly, and a request whose deadline expired while queued is
 ///  rejected when a worker picks it up; 6. workers solve through the
 ///  normal Synthesizer pipeline and commit proven-optimal answers to the
-///  cache and the optional persistent store. Proven infeasibility is
+///  cache and the optional persistent store. Every answer, hit or fresh, is
+///  carried back into the request's labeling on the process's shared switch
+///  model (arch::switch_model()), the one the workers solved on. Proven infeasibility is
 ///  committed too (a negative entry): a later identical — or relabeled —
 ///  request replays the proof from the cache instead of re-running the
 ///  solver to rediscover it. Budget-truncated timeouts are never cached.
@@ -51,7 +53,6 @@
 
 #include <atomic>
 #include <istream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -59,8 +60,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/crossbar.hpp"
-#include "arch/paths.hpp"
 #include "serve/cache.hpp"
 #include "serve/canonical.hpp"
 #include "support/executor.hpp"
@@ -70,8 +69,8 @@
 namespace mlsi::serve {
 
 struct ServeOptions {
-  /// Engine, reduction, pressure, path and geometry options shared by every
-  /// request (folded into the cache key). Per-request deadline overrides
+  /// Engine, reduction, pressure and path options shared by every request
+  /// (folded into the cache key). Per-request deadline overrides
   /// engine_params.deadline.
   synth::SynthesisOptions synth;
   /// Total in-memory entries; 0 disables caching AND coalescing (the
@@ -214,14 +213,6 @@ class Server {
     double solve_us = 0.0;      ///< synthesize() wall time
   };
 
-  /// Shared immutable topology + candidate paths per switch size, built on
-  /// first use (hits must not re-enumerate paths per request).
-  struct Bundle {
-    std::unique_ptr<arch::SwitchTopology> topo;
-    std::unique_ptr<arch::PathSet> paths;
-  };
-  const Bundle& bundle_for(int pins_per_side);
-
   void worker_loop();
   void publish(const std::shared_ptr<Flight>& flight, ServeOutcome outcome,
                std::shared_ptr<const CachedResult> value, std::string error);
@@ -244,9 +235,6 @@ class Server {
 
   std::mutex flights_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
-
-  std::mutex bundles_mutex_;
-  std::map<int, Bundle> bundles_;
 
   std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stopping_{false};

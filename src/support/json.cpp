@@ -62,19 +62,35 @@ int Value::get_int(std::string_view key, int fallback) const {
   return (v != nullptr && v->is_number()) ? v->as_int() : fallback;
 }
 
-Result<int> read_int(const Value* v, std::string_view what, int fallback) {
+namespace {
+
+/// read_int() and read_long(): \p type names T in the error message.
+template <typename T>
+Result<T> read_integer(const Value* v, std::string_view what, T fallback,
+                       std::string_view type) {
   if (v == nullptr) return fallback;
   if (!v->is_number()) {
     return Status::InvalidArgument(cat("'", what, "' must be a number"));
   }
   const double n = v->as_number();
-  if (std::nearbyint(n) != n ||
-      n < static_cast<double>(std::numeric_limits<int>::min()) ||
-      n > static_cast<double>(std::numeric_limits<int>::max())) {
+  // 2^digits is exact as a double, unlike the maximum of a 64-bit T, so
+  // [-2^digits, 2^digits) is exactly T's range.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (std::nearbyint(n) != n || n < -limit || n >= limit) {
     return Status::InvalidArgument(
-        cat("'", what, "' must be an integer in int range, got ", n));
+        cat("'", what, "' must be an integer in ", type, " range, got ", n));
   }
-  return static_cast<int>(n);
+  return static_cast<T>(n);
+}
+
+}  // namespace
+
+Result<int> read_int(const Value* v, std::string_view what, int fallback) {
+  return read_integer(v, what, fallback, "int");
+}
+
+Result<long> read_long(const Value* v, std::string_view what, long fallback) {
+  return read_integer(v, what, fallback, "long");
 }
 
 double Value::get_number(std::string_view key, double fallback) const {

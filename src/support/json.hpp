@@ -93,6 +93,9 @@ class Value {
 /// instead; it is for values the program itself produced.
 [[nodiscard]] Result<int> read_int(const Value* v, std::string_view what,
                                    int fallback = 0);
+/// read_int() for long fields (counters).
+[[nodiscard]] Result<long> read_long(const Value* v, std::string_view what,
+                                     long fallback = 0);
 
 /// Parses a complete JSON document. Trailing non-whitespace is an error.
 Result<Value> parse(std::string_view text);

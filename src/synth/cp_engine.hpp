@@ -12,11 +12,10 @@
 ///    solve splits the first module's pin loop over EngineParams::jobs
 ///    workers and returns the serial answer;
 ///  * unfixed policy — binding decisions are taken lazily inside the flow
-///    DFS; bindings are restricted to lex-minimal representatives under the
-///    switch's verified automorphisms (cp_symmetry.hpp), falling back to
-///    the quarter-turn restriction of the first pin choice when no symmetry
-///    verifies — which, with the default path cap, is every 12- and 16-pin
-///    crossbar.
+///    DFS; the first binding ranges over one pin per orbit of the path
+///    set's verified symmetries (PathSet::pin_symmetries()), or over the
+///    first side of a crossbar when only the identity verifies — which,
+///    with the default path cap, is every 12- and 16-pin crossbar.
 ///
 /// Constraints enforced during the dive (identical to the IQP):
 ///  * one path per flow, each candidate path used at most once (3.1, 3.2);
@@ -39,7 +38,8 @@
 
 namespace mlsi::synth {
 
-/// Runs the search. \p paths must come from enumerate_paths(topo).
+/// Runs the search. \p paths must come from enumerate_paths(topo); callers
+/// normally pass arch::switch_model()'s shared pair.
 /// Returns kInfeasible when no contamination-free schedule exists (the
 /// paper's "no solution" rows) and kTimeout when the budget expired before
 /// any incumbent was found.

@@ -5,14 +5,12 @@
 #include <exception>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
 #include "support/executor.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
-#include "synth/cp_symmetry.hpp"
 
 namespace mlsi::synth {
 namespace {
@@ -107,10 +105,8 @@ class CpSearch {
   std::vector<std::vector<int>> owner_;  ///< [set][vertex] inlet module or -1
   std::vector<char> path_used_;
 
-  // Symmetry state (unfixed policy).
-  PinSymmetries syms_;
-  std::optional<SymmetryBreaker> breaker_;
-  bool use_lexmin_ = false;
+  /// Pin indices the first binding may use (every pin is free then).
+  std::vector<int> first_pins_;
 
   // Incumbent. best_obj_ is also the bound the search prunes against; a
   // split subtree starts from the first subtree's objective and no
@@ -168,28 +164,24 @@ void CpSearch::prepare() {
                 std::vector<int>(static_cast<std::size_t>(topo_.num_vertices()), -1));
   path_used_.assign(static_cast<std::size_t>(paths_.size()), 0);
 
-  // Lex-leader symmetry breaking needs verified automorphisms and a fixed
-  // module comparison order: the order modules are first bound along the
-  // static flow order (sources before destinations per flow).
-  if (spec_.policy == BindingPolicy::kUnfixed && params_.cp_symmetry) {
-    syms_ = compute_pin_symmetries(topo_, paths_);
-    if (syms_.nontrivial()) {
-      std::vector<int> order;
-      std::vector<char> seen(static_cast<std::size_t>(spec_.num_modules()), 0);
-      auto note = [&](int m) {
-        if (seen[static_cast<std::size_t>(m)] == 0) {
-          seen[static_cast<std::size_t>(m)] = 1;
-          order.push_back(m);
-        }
-      };
-      for (const int flow : flow_order_) {
-        note(spec_.flows[static_cast<std::size_t>(flow)].src_module);
-        note(spec_.flows[static_cast<std::size_t>(flow)].dst_module);
-      }
-      for (int m = 0; m < spec_.num_modules(); ++m) note(m);
-      breaker_.emplace(&syms_, std::move(order));
-      use_lexmin_ = true;
-    }
+  // Symmetry breaking (unfixed policy): the first binding ranges over one
+  // pin per orbit of the path set's verified symmetries (arch/symmetry.hpp)
+  // — every solution has an image of equal objective that binds the first
+  // module there. When only the identity verifies, a crossbar falls back to
+  // the pins of its first side: the quarter-turn argument, which the
+  // capped 12- and 16-pin path sets do not verify. cp_symmetry = false
+  // searches the full binding space (the bench/cp_unfixed baseline).
+  const bool reduce =
+      spec_.policy == BindingPolicy::kUnfixed && params_.cp_symmetry;
+  const arch::PinSymmetries& syms = paths_.pin_symmetries();
+  first_pins_.clear();
+  for (int p = 0; p < num_pins_; ++p) {
+    const bool keep =
+        !reduce || (syms.nontrivial()
+                        ? syms.orbit_min(p) == p
+                        : topo_.kind() != arch::TopologyKind::kCrossbar ||
+                              p < num_pins_ / 4);
+    if (keep) first_pins_.push_back(p);
   }
 }
 
@@ -336,27 +328,10 @@ void CpSearch::dfs(int pos) {
   const bool src_bound = module_pin_[static_cast<std::size_t>(fs.src_module)] >= 0;
   if (src_bound) {
     src_pins.push_back(module_pin_[static_cast<std::size_t>(fs.src_module)]);
-  } else if (use_lexmin_) {
-    // Lex-leader symmetry breaking: only bindings that stay lex-minimal in
-    // their orbit under the verified automorphisms (cp_symmetry.hpp).
-    for (int p = 0; p < num_pins_; ++p) {
-      if (pin_module_[static_cast<std::size_t>(p)] == -1 &&
-          breaker_->admits(module_pin_, fs.src_module, p)) {
-        src_pins.push_back(p);
-      }
-    }
+  } else if (bound_modules_ == 0) {
+    src_pins = first_pins_;
   } else {
-    // Quarter-turn symmetry (the seed's ad-hoc rule, the primitive form of
-    // the verified lex-leader machinery above): the very first binding
-    // decision of an unfixed search only needs one side of the
-    // (rotation-symmetric) crossbar. cp_symmetry=false disables binding
-    // symmetry breaking entirely — the ablation baseline of
-    // bench/cp_unfixed.
-    const int limit = (bound_modules_ == 0 && params_.cp_symmetry &&
-                       topo_.kind() == arch::TopologyKind::kCrossbar)
-                          ? num_pins_ / 4
-                          : num_pins_;
-    for (int p = 0; p < limit; ++p) {
+    for (int p = 0; p < num_pins_; ++p) {
       if (pin_module_[static_cast<std::size_t>(p)] == -1) src_pins.push_back(p);
     }
   }
@@ -375,12 +350,7 @@ void CpSearch::dfs(int pos) {
       dst_pins.push_back(module_pin_[static_cast<std::size_t>(fs.dst_module)]);
     } else {
       for (int p = 0; p < num_pins_; ++p) {
-        if (pin_module_[static_cast<std::size_t>(p)] != -1) continue;
-        if (use_lexmin_ &&
-            !breaker_->admits(module_pin_, fs.dst_module, p)) {
-          continue;
-        }
-        dst_pins.push_back(p);
+        if (pin_module_[static_cast<std::size_t>(p)] == -1) dst_pins.push_back(p);
       }
     }
 

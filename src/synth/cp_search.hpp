@@ -14,12 +14,13 @@
 /// pool, each from a fresh state bounded by the first subtree's incumbent,
 /// and folded in first-pin order: the answer is the serial one.
 ///
-/// For the unfixed policy, lex-leader symmetry breaking (cp_symmetry)
-/// restricts bindings to those lexicographically minimal under the
-/// verified automorphisms of (topology, path set) (cp_symmetry.hpp); when
-/// no symmetry verifies — with the default path cap, on every 12- and
-/// 16-pin crossbar — the seed's quarter-turn restriction is the fallback,
-/// unverified there. cp_symmetry.hpp says what verifies and what it prunes.
+/// For the unfixed policy one symmetry rule applies: the first binding
+/// ranges over the orbit representatives of the symmetries the path set
+/// verified when it was built (arch/symmetry.hpp says what verifies). When
+/// only the identity verifies — with the default path cap, on every 12- and
+/// 16-pin crossbar — a crossbar falls back to the pins of its first side,
+/// the quarter-turn rule, unverified there. No later binding is pruned:
+/// every crossbar rotation moves every pin.
 
 #include "arch/paths.hpp"
 #include "arch/topology.hpp"

@@ -18,7 +18,9 @@
 ///
 /// Engines share one call signature (EngineFn) and are resolved by name
 /// through engine_from_string(), so the library, CLI and benches dispatch
-/// uniformly. Engines return routing, binding, schedule, length and
+/// uniformly. They read the switch model they are given (normally the
+/// process-wide one of arch::switch_model(), symmetries included) and never
+/// build their own. Engines return routing, binding, schedule, length and
 /// objective; valve reduction, valve states and pressure sharing are
 /// applied on top by the Synthesizer facade (synthesizer.hpp).
 
@@ -57,12 +59,13 @@ struct EngineParams {
 
   // --- CP search (cp engine; cp_search.hpp) -------------------------------
 
-  /// Binding symmetry breaking for the unfixed policy: lex-leader orbit
-  /// pruning from verified switch automorphisms, falling back to the seed's
-  /// quarter-turn restriction when no symmetry verifies (with the default
-  /// path cap, on every 12- and 16-pin crossbar; cp_symmetry.hpp). Off
-  /// disables binding symmetry breaking entirely (the ablation baseline of
-  /// bench/cp_unfixed) — the full binding space is enumerated.
+  /// Binding symmetry breaking for the unfixed policy: the first binding
+  /// ranges over the orbit representatives of the path set's verified
+  /// symmetries, falling back to the seed's quarter-turn restriction when
+  /// only the identity verifies (with the default path cap, on every 12-
+  /// and 16-pin crossbar; cp_search.hpp). Off disables binding symmetry
+  /// breaking entirely (the ablation baseline of bench/cp_unfixed) — the
+  /// full binding space is enumerated.
   bool cp_symmetry = true;
 };
 

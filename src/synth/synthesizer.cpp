@@ -10,14 +10,10 @@
 namespace mlsi::synth {
 
 Synthesizer::Synthesizer(ProblemSpec spec, SynthesisOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {
-  const int k = spec_.effective_pins_per_side();
-  obs::TraceSpan span("synth.enumerate_paths");
-  topo_ = std::make_unique<arch::SwitchTopology>(
-      arch::make_crossbar(k, options_.geometry));
-  paths_ = std::make_unique<arch::PathSet>(
-      arch::enumerate_paths(*topo_, options_.path_options));
-}
+    : spec_(std::move(spec)),
+      options_(std::move(options)),
+      model_(&arch::switch_model(spec_.effective_pins_per_side(),
+                                 options_.path_options)) {}
 
 Result<SynthesisResult> Synthesizer::synthesize() const {
   obs::TraceSpan span("synth.synthesize");
@@ -25,7 +21,7 @@ Result<SynthesisResult> Synthesizer::synthesize() const {
   const auto engine = engine_from_string(options_.engine);
   if (!engine.ok()) return engine.status();
   Result<SynthesisResult> routed =
-      (*engine)(*topo_, *paths_, spec_, options_.engine_params);
+      (*engine)(topology(), paths(), spec_, options_.engine_params);
   if (!routed.ok()) return routed;
   apply_post_processing(*routed);
   routed->stats.runtime_s = timer.seconds();
@@ -35,7 +31,7 @@ Result<SynthesisResult> Synthesizer::synthesize() const {
 void Synthesizer::apply_post_processing(SynthesisResult& result) const {
   obs::TraceSpan span("synth.post_processing");
   result.used_segments = union_segments(result.routed);
-  result.flow_length_mm = segments_length_mm(*topo_, result.used_segments);
+  result.flow_length_mm = segments_length_mm(topology(), result.used_segments);
   result.objective =
       spec_.alpha * result.num_sets + spec_.beta * result.flow_length_mm;
 
@@ -46,7 +42,7 @@ void Synthesizer::apply_post_processing(SynthesisResult& result) const {
       case ValveReductionRule::kNone: {
         result.essential_valves.clear();
         for (const int s : result.used_segments) {
-          if (topo_->segment(s).has_valve) {
+          if (topology().segment(s).has_valve) {
             result.essential_valves.push_back(s);
           }
         }
@@ -54,7 +50,7 @@ void Synthesizer::apply_post_processing(SynthesisResult& result) const {
       }
       case ValveReductionRule::kPaper:
         result.essential_valves = essential_valves_paper(
-            *topo_, spec_, result.routed, result.used_segments);
+            topology(), spec_, result.routed, result.used_segments);
         break;
     }
   }
@@ -63,7 +59,7 @@ void Synthesizer::apply_post_processing(SynthesisResult& result) const {
   {
     obs::TraceSpan schedule_span("synth.valve_schedule");
     const ValveSchedule sched = derive_valve_states(
-        *topo_, result.routed, result.num_sets, result.essential_valves);
+        topology(), result.routed, result.num_sets, result.essential_valves);
     result.essential_valves = sched.valve_segments;
     result.valve_states = sched.states;
   }

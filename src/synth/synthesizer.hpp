@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file synthesizer.hpp
-/// \brief One-call synthesis pipeline: topology -> paths -> engine ->
+/// \brief One-call synthesis pipeline: switch model -> engine ->
 /// application-specific reduction -> valve schedule -> pressure sharing.
 ///
 /// This is the library's main entry point:
@@ -15,13 +15,13 @@
 ///
 /// Engines are selected by name (SynthesisOptions::engine: "cp" or "iqp",
 /// resolved through engine_from_string()); BatchSynthesizer fans a sweep of
-/// independent specs out over a thread pool.
+/// independent specs out over a thread pool. A Synthesizer builds no switch
+/// model of its own: it points at arch::switch_model()'s, shared with every
+/// other Synthesizer, batch worker and server in the process.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/crossbar.hpp"
 #include "arch/paths.hpp"
 #include "synth/engine.hpp"
 #include "synth/pressure.hpp"
@@ -47,21 +47,24 @@ struct SynthesisOptions {
   EngineParams engine_params;
   ValveReductionRule reduction = ValveReductionRule::kPaper;
   PressureMode pressure = PressureMode::kIlp;
+  /// Candidate-path options; with the switch size they key the shared
+  /// switch model (arch::switch_model()).
   arch::PathEnumOptions path_options;
-  arch::CrossbarGeometry geometry;
 };
 
-/// Owns the switch model and candidate paths; runs the pipeline.
+/// Runs the pipeline for one spec on the shared switch model.
 class Synthesizer {
  public:
-  /// Builds the switch topology (spec.pins_per_side, or the smallest size
-  /// fitting the module count) and enumerates candidate paths.
+  /// Looks up the switch model (spec.pins_per_side, or the smallest size
+  /// fitting the module count), building it on the process's first use.
   /// Throws AssertionError only on programmer error; a bad spec surfaces
   /// from synthesize().
   explicit Synthesizer(ProblemSpec spec, SynthesisOptions options = {});
 
-  [[nodiscard]] const arch::SwitchTopology& topology() const { return *topo_; }
-  [[nodiscard]] const arch::PathSet& paths() const { return *paths_; }
+  [[nodiscard]] const arch::SwitchTopology& topology() const {
+    return model_->topology;
+  }
+  [[nodiscard]] const arch::PathSet& paths() const { return model_->paths; }
   [[nodiscard]] const ProblemSpec& spec() const { return spec_; }
   [[nodiscard]] const SynthesisOptions& options() const { return options_; }
 
@@ -76,8 +79,7 @@ class Synthesizer {
  private:
   ProblemSpec spec_;
   SynthesisOptions options_;
-  std::unique_ptr<arch::SwitchTopology> topo_;
-  std::unique_ptr<arch::PathSet> paths_;
+  const arch::SwitchModel* model_;
 };
 
 /// Convenience free function for one-shot use.

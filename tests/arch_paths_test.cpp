@@ -1,10 +1,12 @@
 // Tests for pin-to-pin path enumeration: shortest-only semantics, simplicity,
-// determinism, the no-through-pin rule, and the corner-coverage property the
-// paper's Nodes-only constraints rely on.
+// determinism, the no-through-pin rule, the corner-coverage property the
+// paper's Nodes-only constraints rely on, and the shared switch model.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "arch/crossbar.hpp"
 #include "arch/paths.hpp"
@@ -14,7 +16,7 @@ namespace mlsi::arch {
 namespace {
 
 TEST(PathsTest, EveryOrderedPairHasPaths) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const PathSet paths = enumerate_paths(topo);
   for (const int from : topo.pins_clockwise()) {
     for (const int to : topo.pins_clockwise()) {
@@ -26,7 +28,7 @@ TEST(PathsTest, EveryOrderedPairHasPaths) {
 }
 
 TEST(PathsTest, PathsAreSimpleAndConnected) {
-  const SwitchTopology topo = make_12pin();
+  const SwitchTopology topo = make_crossbar(3);
   const PathSet paths = enumerate_paths(topo);
   for (const Path& p : paths.paths()) {
     ASSERT_EQ(p.vertices.size(), p.segments.size() + 1);
@@ -45,7 +47,7 @@ TEST(PathsTest, PathsAreSimpleAndConnected) {
 }
 
 TEST(PathsTest, NoPathPassesThroughAThirdPin) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const PathSet paths = enumerate_paths(topo);
   for (const Path& p : paths.paths()) {
     for (std::size_t i = 1; i + 1 < p.vertices.size(); ++i) {
@@ -56,7 +58,7 @@ TEST(PathsTest, NoPathPassesThroughAThirdPin) {
 }
 
 TEST(PathsTest, ZeroSlackKeepsOnlyShortest) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const PathSet paths = enumerate_paths(topo);
   for (const int from : topo.pins_clockwise()) {
     for (const int to : topo.pins_clockwise()) {
@@ -71,7 +73,7 @@ TEST(PathsTest, ZeroSlackKeepsOnlyShortest) {
 }
 
 TEST(PathsTest, SlackAddsLongerAlternatives) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const PathSet tight = enumerate_paths(topo, {});
   PathEnumOptions slack_opt;
   slack_opt.slack_um = 1600.0;  // two extra grid edges
@@ -81,7 +83,7 @@ TEST(PathsTest, SlackAddsLongerAlternatives) {
 }
 
 TEST(PathsTest, CapLimitsPerPair) {
-  const SwitchTopology topo = make_16pin();
+  const SwitchTopology topo = make_crossbar(4);
   PathEnumOptions opt;
   opt.max_paths_per_pair = 3;
   const PathSet paths = enumerate_paths(topo, opt);
@@ -94,7 +96,7 @@ TEST(PathsTest, CapLimitsPerPair) {
 }
 
 TEST(PathsTest, Deterministic) {
-  const SwitchTopology topo = make_12pin();
+  const SwitchTopology topo = make_crossbar(3);
   const PathSet a = enumerate_paths(topo);
   const PathSet b = enumerate_paths(topo);
   ASSERT_EQ(a.size(), b.size());
@@ -104,7 +106,7 @@ TEST(PathsTest, Deterministic) {
 }
 
 TEST(PathsTest, MembershipHelpers) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const PathSet paths = enumerate_paths(topo);
   const Path& p = paths.path(0);
   for (const int v : p.vertices) EXPECT_TRUE(p.uses_vertex(v));
@@ -182,6 +184,50 @@ TEST_P(CornerCoverageTest, CornerOrSegmentSharingImpliesNodeOrPinSharing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CornerCoverageTest, ::testing::Values(2, 3));
+
+// The model map is process-wide, so each test below uses path options no
+// other test in this binary asks for.
+
+TEST(SwitchModelTest, EqualKeysShareOneModel) {
+  PathEnumOptions options;
+  options.max_paths_per_pair = 9;
+  const SwitchModel& first = switch_model(3, options);
+  EXPECT_EQ(&switch_model(3, options), &first);
+  EXPECT_EQ(&first.paths.topology(), &first.topology);
+  EXPECT_EQ(first.topology.num_pins(), 12);
+  // Another size is another model.
+  EXPECT_NE(&switch_model(2, options), &first);
+}
+
+TEST(SwitchModelTest, OtherPathOptionsGetAnotherModel) {
+  PathEnumOptions one;
+  one.max_paths_per_pair = 1;
+  PathEnumOptions two = one;
+  two.max_paths_per_pair = 2;
+  PathEnumOptions slack = one;
+  slack.slack_um = 800.0;
+  const SwitchModel& a = switch_model(2, one);
+  const SwitchModel& b = switch_model(2, two);
+  EXPECT_NE(&b, &a);
+  EXPECT_NE(&switch_model(2, slack), &a);
+  EXPECT_EQ(a.paths.size(), 8 * 7);
+  EXPECT_GT(b.paths.size(), a.paths.size());
+}
+
+TEST(SwitchModelTest, RacingFirstCallersGetOneModel) {
+  PathEnumOptions options;
+  options.max_paths_per_pair = 11;
+  std::vector<const SwitchModel*> seen(8, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&seen, &options, t] {
+      seen[t] = &switch_model(4, options);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const SwitchModel* model : seen) EXPECT_EQ(model, seen.front());
+  EXPECT_EQ(seen.front()->topology.num_pins(), 16);
+}
 
 }  // namespace
 }  // namespace mlsi::arch

@@ -15,7 +15,7 @@ namespace mlsi::arch {
 namespace {
 
 TEST(CrossbarTest, EightPinMatchesPaperCounts) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   // "There are 20 flow segments in the 8-pin switch."
   EXPECT_EQ(topo.num_segments(), 20);
   EXPECT_EQ(topo.num_pins(), 8);
@@ -27,7 +27,7 @@ TEST(CrossbarTest, EightPinMatchesPaperCounts) {
 }
 
 TEST(CrossbarTest, EightPinPaperSegmentNamesExist) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   // Every segment name the thesis text mentions.
   for (const char* name : {"T1-TL", "TL-T", "T-T2", "C-R", "L-C", "T-C",
                            "R-R2", "TR-R", "C-B"}) {
@@ -39,7 +39,7 @@ TEST(CrossbarTest, EightPinPaperSegmentNamesExist) {
 }
 
 TEST(CrossbarTest, EightPinClockwiseOrderMatchesPaper) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const char* expected[] = {"T1", "T2", "R1", "R2", "B2", "B1", "L2", "L1"};
   ASSERT_EQ(topo.pins_clockwise().size(), 8u);
   for (int i = 0; i < 8; ++i) {
@@ -115,14 +115,6 @@ TEST(CrossbarTest, TightGeometryViolatesSpacing) {
   tight.stub_um = 120.0;
   const SwitchTopology topo = make_crossbar(2, tight);
   EXPECT_FALSE(check_channel_spacing(topo).empty());
-}
-
-TEST(CrossbarTest, MakeForModuleCount) {
-  EXPECT_EQ(make_for_module_count(5)->num_pins(), 8);
-  EXPECT_EQ(make_for_module_count(8)->num_pins(), 8);
-  EXPECT_EQ(make_for_module_count(9)->num_pins(), 12);
-  EXPECT_EQ(make_for_module_count(13)->num_pins(), 16);
-  EXPECT_FALSE(make_for_module_count(17).ok());
 }
 
 TEST(CrossbarTest, LengthsMatchGeometry) {
@@ -209,7 +201,7 @@ TEST(GruTest, FortyFiveDegreeJointsFlagged) {
 }
 
 TEST(TopologyTest, SegmentBetween) {
-  const SwitchTopology topo = make_8pin();
+  const SwitchTopology topo = make_crossbar(2);
   const int t = *topo.vertex_by_name("T");
   const int c = *topo.vertex_by_name("C");
   const int b = *topo.vertex_by_name("B");
@@ -219,7 +211,7 @@ TEST(TopologyTest, SegmentBetween) {
 }
 
 TEST(TopologyTest, VertexLookup) {
-  const SwitchTopology topo = make_12pin();
+  const SwitchTopology topo = make_crossbar(3);
   EXPECT_TRUE(topo.vertex_by_name("T1").has_value());
   EXPECT_TRUE(topo.vertex_by_name("TL").has_value());
   EXPECT_FALSE(topo.vertex_by_name("Z9").has_value());

@@ -1,4 +1,4 @@
-// CP search: verified symmetry breaking, the clockwise first-pin split
+// CP search: the verified symmetry rule, the clockwise first-pin split
 // (the same answer at every job count) and — the ground truth —
 // verdict/objective parity between the default search, the unreduced
 // search (cp_symmetry off) and the independent IQP model on randomized
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arch/crossbar.hpp"
+#include "arch/gru.hpp"
 #include "arch/paths.hpp"
 #include "cases/artificial.hpp"
 #include "cases/cases.hpp"
@@ -22,7 +23,6 @@
 #include "support/json.hpp"
 #include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
-#include "synth/cp_symmetry.hpp"
 #include "synth/iqp_engine.hpp"
 
 namespace mlsi::synth {
@@ -37,7 +37,7 @@ TEST(SymmetryTest, EightPinCrossbarVerifiesItsRotationGroup) {
   // exactly the three non-identity rotations and reject all reflections.
   const arch::SwitchTopology topo = arch::make_crossbar(2);
   const arch::PathSet paths = arch::enumerate_paths(topo);
-  const PinSymmetries syms = compute_pin_symmetries(topo, paths);
+  const arch::PinSymmetries& syms = paths.pin_symmetries();
   EXPECT_EQ(syms.group_size(), 4);
   for (const auto& perm : syms.perms()) {
     ASSERT_EQ(static_cast<int>(perm.size()), topo.num_pins());
@@ -71,13 +71,13 @@ TEST_P(CrossbarRotationTest, AllShortestPathsVerifyTheFourRotations) {
   arch::PathEnumOptions all_shortest;
   all_shortest.max_paths_per_pair = 1 << 20;
   const arch::PathSet paths = arch::enumerate_paths(topo, all_shortest);
-  const PinSymmetries syms = compute_pin_symmetries(topo, paths);
+  const arch::PinSymmetries& syms = paths.pin_symmetries();
   EXPECT_EQ(syms.group_size(), 4);
   for (int pin = 0; pin < topo.num_pins(); ++pin) {
     EXPECT_EQ(syms.orbit_min(pin), pin % k) << "pin " << pin;
   }
   const arch::PathSet capped = arch::enumerate_paths(topo);
-  EXPECT_EQ(compute_pin_symmetries(topo, capped).group_size(), k == 2 ? 4 : 1);
+  EXPECT_EQ(capped.pin_symmetries().group_size(), k == 2 ? 4 : 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -87,27 +87,44 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SymmetryTest, OrbitMinFollowsTheCycle) {
-  PinSymmetries syms({{1, 2, 3, 0}});
+  arch::PinSymmetries syms({{1, 2, 3, 0}});
   EXPECT_EQ(syms.group_size(), 2);
   // One application of the 4-cycle per query: 3 -> 0 is reachable.
   EXPECT_EQ(syms.orbit_min(3), 0);
   EXPECT_EQ(syms.orbit_min(0), 0);
 }
 
-TEST(SymmetryTest, BreakerRejectsNonLexMinimalBindings) {
-  // One symmetry swapping pins (0,1) and (2,3); modules compared 0 then 1.
-  PinSymmetries syms({{1, 0, 3, 2}});
-  SymmetryBreaker breaker(&syms, {0, 1});
-  std::vector<int> binding = {-1, -1};
-  // First binding: pin 0 maps to 1 (lex-larger image) -> admitted; pin 1
-  // maps to 0 (lex-smaller image) -> rejected.
-  EXPECT_TRUE(breaker.admits(binding, 0, 0));
-  EXPECT_FALSE(breaker.admits(binding, 0, 1));
-  // With module 0 at its fixed point... there is none here: 0 -> 1 makes
-  // the image lex-larger already at position 0, so any second choice goes.
-  binding[0] = 0;
-  EXPECT_TRUE(breaker.admits(binding, 1, 2));
-  EXPECT_TRUE(breaker.admits(binding, 1, 3));
+TEST(SymmetryTest, FirstBindingRangesOverOrbitRepresentatives) {
+  // Where rotations verify, the first binding of an unfixed search ranges
+  // over one pin per orbit and no later binding is pruned. Nucleic acid
+  // explores exactly as many nodes as under the lex-leader breaker this
+  // rule replaced, on the 8-pin crossbar and on one GRU, and proves the
+  // optimum of the search over the full binding space.
+  EngineParams params;
+  params.deadline = support::Deadline::after(60.0);
+  EngineParams unreduced = params;
+  unreduced.cp_symmetry = false;
+  const ProblemSpec spec = cases::nucleic_acid(BindingPolicy::kUnfixed);
+  const arch::SwitchModel& crossbar = arch::switch_model(2);
+  const arch::SwitchTopology gru = arch::make_gru(1);
+  const arch::PathSet gru_paths = arch::enumerate_paths(gru);
+  const struct {
+    const char* name;
+    const arch::SwitchTopology& topo;
+    const arch::PathSet& paths;
+    long nodes;
+  } switches[] = {{"crossbar", crossbar.topology, crossbar.paths, 1'290},
+                  {"gru", gru, gru_paths, 268}};
+  for (const auto& sw : switches) {
+    EXPECT_TRUE(sw.paths.pin_symmetries().nontrivial()) << sw.name;
+    const auto reduced = solve_cp(sw.topo, sw.paths, spec, params);
+    const auto full = solve_cp(sw.topo, sw.paths, spec, unreduced);
+    ASSERT_TRUE(reduced.ok()) << sw.name << ": " << reduced.status().to_string();
+    ASSERT_TRUE(full.ok()) << sw.name << ": " << full.status().to_string();
+    EXPECT_EQ(reduced->stats.nodes, sw.nodes) << sw.name;
+    EXPECT_TRUE(reduced->stats.proven_optimal) << sw.name;
+    EXPECT_NEAR(reduced->objective, full->objective, 1e-9) << sw.name;
+  }
 }
 
 // --- End-to-end parity ------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "arch/crossbar.hpp"
 #include "cases/cases.hpp"
 #include "io/case_io.hpp"
 #include "support/strings.hpp"
@@ -131,7 +132,7 @@ TEST(CaseIoTest, FileRoundTrip) {
 }
 
 TEST(SvgTest, StructureRendering) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const std::string svg = render_structure(topo);
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);

@@ -225,9 +225,9 @@ TEST(CanonicalizeRequestTest, OptionsAreFoldedIntoTheKey) {
   EXPECT_NE(canonicalize(spec, other_pressure, "sha1").key.text,
             base.key.text);
 
-  synth::SynthesisOptions other_geom = options;
-  other_geom.geometry.pitch_um += 1.0;
-  EXPECT_NE(canonicalize(spec, other_geom, "sha1").key.text, base.key.text);
+  synth::SynthesisOptions other_paths = options;
+  other_paths.path_options.max_paths_per_pair += 1;
+  EXPECT_NE(canonicalize(spec, other_paths, "sha1").key.text, base.key.text);
 
   EXPECT_NE(canonicalize(spec, options, "sha2").key.text, base.key.text);
   EXPECT_EQ(canonicalize(spec, options, "sha1").key.text, base.key.text);

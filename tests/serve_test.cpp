@@ -252,6 +252,7 @@ TEST_F(PersistentStoreTest, HostileEntriesAreSkippedOnReplay) {
                     json::Value{"x"}, json::Value{1}}}}}},
       {"binding", json::Value{json::Array{json::Value{0.5}}}},
       {"valve_states", json::Value{7}},
+      {"stats", json::Value{json::Object{{"nodes", json::Value{1e300}}}}},
   };
   {
     std::FILE* f = std::fopen(path_.c_str(), "ab");

@@ -69,7 +69,7 @@ SwitchProgram disjoint_program(const arch::SwitchTopology& topo,
 }
 
 TEST(FloodTest, ConfinedByClosedValves) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   const SwitchProgram p = disjoint_program(topo, spec, 0);
   const WetRegion region = flood(p, 0, *topo.vertex_by_name("T1"));
@@ -84,7 +84,7 @@ TEST(FloodTest, ConfinedByClosedValves) {
 }
 
 TEST(FloodTest, SpreadsThroughValveFreeSegments) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   SwitchProgram p;
   p.topo = &topo;
@@ -103,7 +103,7 @@ TEST(FloodTest, SpreadsThroughValveFreeSegments) {
 }
 
 TEST(ValidateTest, DisjointParallelFlowsPass) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(true);
   const auto report = validate(disjoint_program(topo, spec, 0));
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -112,7 +112,7 @@ TEST(ValidateTest, DisjointParallelFlowsPass) {
 }
 
 TEST(ValidateTest, DetectsUndelivered) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   SwitchProgram p = disjoint_program(topo, spec, 0);
   // Close inA's own first segment by marking it closed in every set.
@@ -129,7 +129,7 @@ TEST(ValidateTest, DetectsUndelivered) {
 }
 
 TEST(ValidateTest, DetectsCollision) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   SwitchProgram p;
   p.topo = &topo;
@@ -149,7 +149,7 @@ TEST(ValidateTest, DetectsCollision) {
 }
 
 TEST(ValidateTest, DetectsContaminationAcrossSets) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(true);
   SwitchProgram p;
   p.topo = &topo;
@@ -172,7 +172,7 @@ TEST(ValidateTest, DetectsContaminationAcrossSets) {
 TEST(ValidateTest, SequentialSharingWithoutConflictPasses) {
   // Same geometry as the contamination test but non-conflicting reagents:
   // sharing node T across sets is legitimate reuse.
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   SwitchProgram p;
   p.topo = &topo;
@@ -218,7 +218,7 @@ TEST(ValidateTest, DetectsMisdeliveryOnSpine) {
 }
 
 TEST(ValidateTest, DetectsStructuralBreakage) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_flow_spec(false);
   SwitchProgram p = disjoint_program(topo, spec, 0);
   p.binding[0] = *topo.vertex_by_name("L1");  // flow no longer starts there

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/crossbar.hpp"
 #include "arch/gru.hpp"
 #include "arch/paths.hpp"
 #include "cases/artificial.hpp"

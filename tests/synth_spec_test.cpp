@@ -129,6 +129,23 @@ TEST(SpecTest, RejectsBadPinsPerSide) {
   EXPECT_TRUE(s.validate().ok());
 }
 
+TEST(SpecTest, AutoSizeIsTheSmallestFittingCrossbar) {
+  // pins_per_side 0 picks the smallest of the 8-, 12- and 16-pin crossbars
+  // with at least one pin per module; an explicit size wins.
+  ProblemSpec s = base_spec();
+  s.pins_per_side = 0;
+  const auto with_modules = [&](int n) {
+    s.modules.resize(static_cast<std::size_t>(n), "");
+    return s.effective_pins_per_side();
+  };
+  EXPECT_EQ(with_modules(5), 2);
+  EXPECT_EQ(with_modules(8), 2);
+  EXPECT_EQ(with_modules(9), 3);
+  EXPECT_EQ(with_modules(13), 4);
+  s.pins_per_side = 4;
+  EXPECT_EQ(with_modules(5), 4);
+}
+
 TEST(SpecTest, ConflictLiftingToInletModules) {
   ProblemSpec s = base_spec();
   s.modules.push_back("outC");

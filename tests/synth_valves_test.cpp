@@ -50,7 +50,7 @@ ProblemSpec two_inlet_spec() {
 }
 
 TEST(ValveStateTest, OpenClosedDontCare) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   // Set 0: T1 -> TL -> T -> T2. Set 1: R1 -> TR -> R -> R2.
   const std::vector<RoutedFlow> routed = {
       make_flow(topo, 0, 0, {"T1", "TL", "T", "T2"}),
@@ -86,7 +86,7 @@ TEST(ValveStateTest, OpenClosedDontCare) {
 TEST(EssentialValvesTest, SingleFlowNeedsNoValves) {
   // One flow, one inlet: every neighbour segment carries the same reagent,
   // so the paper rule removes every valve.
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   ProblemSpec spec = two_inlet_spec();
   spec.modules = {"inA", "o1"};
   spec.flows = {{0, 1}};
@@ -97,7 +97,7 @@ TEST(EssentialValvesTest, SingleFlowNeedsNoValves) {
 }
 
 TEST(EssentialValvesTest, TouchingForeignFlowNeedsValves) {
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_inlet_spec();
   // inA: T1 -> TL -> T -> C -> R -> R2 (set 0);
   // inB: T2 -> T -> TR -> R -> BR -> B2 (set 1). Shared vertices T and R.
@@ -118,7 +118,7 @@ TEST(EssentialValvesTest, PaperSectionThreeFiveExample) {
   // Fig. 3.1(b)-like situation: the valve on C-R carries flows from both
   // inlets (R2 and L1); its used neighbours carry flows from the same two
   // inlets only, so it "can always be at the open status".
-  const arch::SwitchTopology topo = arch::make_8pin();
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
   ProblemSpec spec;
   spec.pins_per_side = 2;
   spec.modules = {"iR2", "iL1", "oT1", "oB1"};
@@ -158,7 +158,7 @@ TEST(EssentialValvesTest, PaperSectionThreeFiveExample) {
 TEST(EssentialValvesTest, RespectsValveFreeSegments) {
   // On a topology whose segment has no valve site, the reduction never
   // reports it (exercised with a doctored crossbar).
-  arch::SwitchTopology topo = arch::make_8pin();
+  arch::SwitchTopology topo = arch::make_crossbar(2);
   const ProblemSpec spec = two_inlet_spec();
   const std::vector<RoutedFlow> routed = {
       make_flow(topo, 0, 0, {"T1", "TL", "T", "C", "R", "R2"}),
