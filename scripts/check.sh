@@ -1,15 +1,17 @@
 #!/usr/bin/env sh
 # Tier-1 verification: full build + test suite, a bench smoke run against a
 # known optimum, perf smokes (devex pivot count, serving cache speedup), an
-# observability smoke run (trace/metrics/search-log formats validated by
-# obs_check), a serving replay (persistent cache across a daemon restart),
-# a live-service smoke (socket daemon + serve_throughput client load +
-# mlsi_top + SIGTERM drain, all obs artifacts validated), a bench
-# wall-time regression guard against the committed summary, the LP/MILP
-# tests, the obs flight recorder and the input boundaries (case JSON, serve
-# request lines, the persistent store) again under AddressSanitizer +
-# UBSan (the sparse LU and eta-file code is pointer-heavy; the recorder's
-# dump path formats into fixed buffers; the parsers take hostile bytes),
+# observability smoke run (trace/metrics formats validated by obs_check,
+# the search-event instants present in the trace), a serving replay
+# (persistent cache across a daemon restart), a live-service smoke (socket
+# daemon + serve_throughput client load + mlsi_top + a clockwise split
+# request + SIGTERM drain, all obs artifacts validated), a bench wall-time
+# regression guard against the committed summary, the LP/MILP tests, the
+# obs flight recorder and the input boundaries (case JSON, serve request
+# lines, the persistent store; hostile cases and the mutation fuzz) again
+# under AddressSanitizer + UBSan (the sparse LU and eta-file code is
+# pointer-heavy; the recorder's dump path formats into fixed buffers; the
+# parsers take hostile bytes),
 # and the concurrency tests (thread pool, stop tokens, the cp engine's
 # clockwise first-pin split, the shared switch-model map, serve
 # cache/coalescing, obs emission, metrics snapshots under mutation) again
@@ -50,21 +52,28 @@ cmake --build build -j "$(nproc)" --target cp_unfixed
 build/bench/cp_unfixed --smoke
 
 # Observability smoke: a clockwise run large enough to split its first-pin
-# loop over 4 workers, with all three obs flags, then the format validator
-# (trace = Chrome trace JSON array, search log = JSONL, metrics keys
-# declared in scripts/metrics_schema.json).
+# loop over 4 workers, with both obs output flags, then the format
+# validator (trace = Chrome trace JSON array whose instants carry object
+# "args", metrics keys declared in scripts/metrics_schema.json). The CP
+# search events are trace instants: this run emits one cp.incumbent and
+# one cp.done. (The MILP's milp.* instants are asserted by opt_milp_test's
+# MilpTest.SearchEventsAreTraceInstants: an IQP run long enough to emit
+# them takes too long for a smoke.)
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 build/tools/mlsi_synth tests/data/chip_sw2_clockwise.json \
     --jobs 4 --quiet \
     --trace-out "$obs_dir/trace.json" \
-    --metrics-out "$obs_dir/metrics.json" \
-    --search-log "$obs_dir/search.jsonl"
+    --metrics-out "$obs_dir/metrics.json"
 build/tools/obs_check \
     --trace "$obs_dir/trace.json" \
-    --search-log "$obs_dir/search.jsonl" \
     --metrics "$obs_dir/metrics.json" \
     --schema scripts/metrics_schema.json
+for ev in cp.incumbent cp.done; do
+    grep -q "\"name\":\"$ev\",\"cat\":\"mlsi\",\"ph\":\"i\"" \
+        "$obs_dir/trace.json" || {
+        echo "check.sh: trace has no $ev instant" >&2; exit 1; }
+done
 
 # Serving replay smoke: the daemon answers the canned request stream twice
 # against the same persistent store. The second run starts from the
@@ -92,8 +101,11 @@ build/tools/obs_check \
 # serve_throughput's client mode (asserts every request ok + >= 50% hit
 # rate from the responses' "cached" flags), monitored by mlsi_top (the
 # live metrics snapshot it saves must validate and must carry populated
-# serve.stage.* histograms), then drained with SIGTERM — exit 0 and every
-# flushed obs artifact (metrics, trace, flight recorder) must validate.
+# serve.stage.* histograms), sent one ChIP sw.2 clockwise request whose
+# solve splits its first-pin loop over worker threads, then drained with
+# SIGTERM — exit 0 and every flushed obs artifact (metrics, trace, flight
+# recorder) must validate, the recorder holding the split's cp.subtree
+# spans under their name.
 cmake --build build -j "$(nproc)" --target mlsi_serve_cli mlsi_top obs_check
 live_sock="$obs_dir/live.sock"
 build/tools/mlsi_serve --socket "$live_sock" --jobs 4 --quiet \
@@ -118,6 +130,12 @@ grep -q '"solve_us":{"count":' "$obs_dir/live_top.json" || {
     echo "check.sh: mlsi_top reported no solve-stage percentiles" >&2; exit 1; }
 build/tools/obs_check \
     --metrics "$obs_dir/live_metrics.json" --schema scripts/metrics_schema.json
+build/tools/mlsi_top --socket "$live_sock" \
+    --send tests/data/chip_sw2_clockwise_request.jsonl \
+    > "$obs_dir/live_split.jsonl"
+grep -q '"status":"ok"' "$obs_dir/live_split.jsonl" || {
+    echo "check.sh: the clockwise split request was not answered ok" >&2
+    exit 1; }
 kill -TERM "$live_pid"
 live_rc=0
 wait "$live_pid" || live_rc=$?
@@ -130,6 +148,9 @@ build/tools/obs_check \
     --schema scripts/metrics_schema.json \
     --trace "$obs_dir/live_trace.json" \
     --flight-rec "$obs_dir/live_flight.jsonl"
+grep -q '"name":"cp.subtree","ph":"E"' "$obs_dir/live_flight.jsonl" || {
+    echo "check.sh: the flight recorder holds no cp.subtree span" >&2
+    exit 1; }
 
 # Bench wall-time regression guard: compare fresh bench_out telemetry
 # against the committed summary from the previous SHA (exit 3 past +50%;
@@ -143,7 +164,7 @@ fi
 cmake -B build-asan -S . -DMLSI_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
     --target opt_simplex_test opt_cuts_test opt_milp_test obs_test io_test \
-    serve_test
+    serve_test fuzz_boundaries_test
 build-asan/tests/opt_simplex_test
 build-asan/tests/opt_cuts_test
 build-asan/tests/opt_milp_test
@@ -151,10 +172,13 @@ build-asan/tests/opt_milp_test
 # crash-handler dump (the death test's signal path) with full heap checking.
 build-asan/tests/obs_test
 # Input boundaries under ASan/UBSan: hostile case documents, serve request
-# lines and persistent-store entries must be rejected, not abort.
+# lines and persistent-store entries must be rejected (or, for a store
+# entry that does not fit its request, re-solved), not abort; the mutation
+# fuzz drives all three from the checked-in seeds.
 build-asan/tests/io_test
 build-asan/tests/serve_test \
     --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*'
+build-asan/tests/fuzz_boundaries_test
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
@@ -174,12 +198,12 @@ build-tsan/tests/synth_parallel_test
 # The clockwise first-pin split: the same answer at jobs 1/2/4 with real
 # worker threads (the paper cases above the split threshold included).
 build-tsan/tests/cp_search_test --gtest_filter='*ClockwiseSplit*'
-# Obs enabled under TSan: per-thread trace buffers, metrics atomics and the
-# search-log mutex all get exercised by a real clockwise split.
+# Obs enabled under TSan: per-thread trace buffers (spans and the search
+# instants, recorded from the split's worker threads) and metrics atomics
+# all get exercised by a real clockwise split.
 build-tsan/tools/mlsi_synth tests/data/chip_sw2_clockwise.json \
     --jobs 4 --quiet \
     --trace-out "$obs_dir/tsan_trace.json" \
-    --metrics-out "$obs_dir/tsan_metrics.json" \
-    --search-log "$obs_dir/tsan_search.jsonl"
+    --metrics-out "$obs_dir/tsan_metrics.json"
 
 echo "check.sh: all green (tier-1 + bench smoke + obs + ASan + TSan)"

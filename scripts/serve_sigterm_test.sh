@@ -2,20 +2,26 @@
 # Graceful-shutdown test for the serving daemon, run as a ctest case
 # (serve_sigterm_drains) and as part of the live-service leg in check.sh.
 #
-#   serve_sigterm_test.sh MLSI_SERVE MLSI_TOP OBS_CHECK REQUESTS SCHEMA
+#   serve_sigterm_test.sh MLSI_SERVE MLSI_TOP OBS_CHECK REQUESTS SCHEMA \
+#       SPLIT_REQUEST
 #
-# Starts mlsi_serve on a Unix socket with every obs output armed, drives the
-# canned request stream through the socket, then sends SIGTERM and asserts
-# that the daemon (a) exits 0 after draining, and (b) flushed its metrics
-# snapshot and flight-recorder dump, both of which must validate with
-# obs_check.
+# Starts mlsi_serve on a Unix socket with metrics and the flight recorder
+# armed (the tracer stays off, as in production), drives the canned request
+# stream through the socket, then SPLIT_REQUEST, a clockwise case whose
+# solve splits its first-pin loop over worker threads. It then sends
+# SIGTERM and asserts that the daemon (a) exits 0 after draining, and (b)
+# flushed its metrics snapshot and flight-recorder dump, both of which must
+# validate with obs_check; the dump must hold the split's cp.subtree spans
+# under that name.
 set -eu
 
-if [ "$#" -ne 5 ]; then
-    echo "usage: $0 MLSI_SERVE MLSI_TOP OBS_CHECK REQUESTS SCHEMA" >&2
+if [ "$#" -ne 6 ]; then
+    echo "usage: $0 MLSI_SERVE MLSI_TOP OBS_CHECK REQUESTS SCHEMA" \
+         "SPLIT_REQUEST" >&2
     exit 2
 fi
 serve_bin="$1"; top_bin="$2"; check_bin="$3"; requests="$4"; schema="$5"
+split_request="$6"
 
 work="$(mktemp -d)"
 server_pid=""
@@ -50,6 +56,7 @@ done
 # stats poll so the flight recorder and stage histograms have content.
 "$top_bin" --socket "$sock" --send "$requests" > "$work/responses.jsonl"
 "$top_bin" --socket "$sock" --send "$requests" >> "$work/responses.jsonl"
+"$top_bin" --socket "$sock" --send "$split_request" > "$work/split.jsonl"
 "$top_bin" --socket "$sock" --once --json > "$work/top.json"
 
 kill -TERM "$server_pid"
@@ -69,6 +76,14 @@ for f in metrics.json flight.jsonl; do
 done
 "$check_bin" --metrics "$work/metrics.json" --schema "$schema" \
     --flight-rec "$work/flight.jsonl"
+if ! grep -q '"name":"cp.subtree","ph":"E"' "$work/flight.jsonl"; then
+    echo "FAIL: the flight recorder holds no cp.subtree span" >&2
+    exit 1
+fi
+if ! grep -q '"status":"ok"' "$work/split.jsonl"; then
+    echo "FAIL: the clockwise split request was not answered ok" >&2
+    exit 1
+fi
 
 if ! grep -q '"status":"ok"' "$work/responses.jsonl"; then
     echo "FAIL: no successful responses before shutdown" >&2

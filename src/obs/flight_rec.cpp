@@ -209,20 +209,4 @@ void FlightRecorder::reset() {
   }
 }
 
-void FrScope::arm(const char* name) {
-  name_ = name;
-  start_us_ = support::monotonic_us();
-  FlightRecorder::instance().record(name, 'B', start_us_, 0);
-}
-
-void FrScope::finish() {
-  const std::int64_t now = support::monotonic_us();
-  FlightRecorder::instance().record(name_, 'E', now, now - start_us_);
-}
-
-void fr_instant(const char* name) {
-  if (!flight_recorder_enabled()) return;
-  FlightRecorder::instance().record(name, 'i', support::monotonic_us(), 0);
-}
-
 }  // namespace mlsi::obs

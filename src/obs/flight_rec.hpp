@@ -2,12 +2,12 @@
 
 /// \file flight_rec.hpp
 /// \brief Always-on flight recorder: per-thread ring buffers of recent
-/// span/event records, dumpable from a crash signal handler.
+/// span records, dumpable from a crash signal handler.
 ///
 /// The tracer and metrics answer questions about runs that *end*; a wedged
 /// or crashing daemon never reaches its end-of-session flush. The flight
 /// recorder fills that gap: every thread keeps a small fixed ring of its
-/// most recent begin/end/instant records, and the whole set can be dumped
+/// most recent span begin/end records, and the whole set can be dumped
 /// as JSONL
 ///  * from normal code (a request that blew its deadline), and
 ///  * from an async-signal-safe SIGSEGV/SIGABRT handler
@@ -24,13 +24,13 @@
 /// disabled recorder costs one relaxed atomic load and never allocates.
 /// When enabled, a record is one uncontended mutex hold on the calling
 /// thread's own ring plus a bounded memcpy — no allocation after the
-/// thread's ring exists. TraceSpan (trace.hpp) feeds the recorder
-/// automatically, so every instrumented span site doubles as a
-/// flight-recorder site; FrScope is the recorder-only RAII form for paths
-/// that must stay allocation-free with tracing off.
+/// thread's ring exists. TraceSpan (trace.hpp) is the only producer: every
+/// span site doubles as a flight-recorder site, under the span's static
+/// name, and stays allocation-free when only the recorder is on. Instants
+/// go to the trace only.
 ///
 /// Dump format: one JSON object per line,
-///   {"name":"cp.solve","ph":"B"|"E"|"i","ts":<us>,"dur":<us>,"tid":N,"pid":1}
+///   {"name":"cp.solve","ph":"B"|"E","ts":<us>,"dur":<us>,"tid":N,"pid":1}
 /// Rings are emitted thread by thread, oldest record first, so timestamps
 /// are monotonic per tid. Wraparound drops the oldest records, so a thread
 /// may open with an unmatched "E" (its "B" rotated out) and a wedged solve
@@ -57,8 +57,8 @@ inline bool flight_recorder_enabled() {
 }
 
 /// One fixed-size record. \p ph follows the Chrome trace phase codes the
-/// rest of obs uses: 'B' span begin, 'E' span end (dur_us = span length),
-/// 'i' instant. ph == 0 marks an empty slot.
+/// rest of obs uses: 'B' span begin, 'E' span end (dur_us = span length).
+/// ph == 0 marks an empty slot.
 struct FrRecord {
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
@@ -122,31 +122,5 @@ class FlightRecorder {
   std::array<std::atomic<Ring*>, kMaxThreads> rings_{};
   char dump_path_[256] = {};
 };
-
-/// RAII begin/end pair on the flight recorder only (TraceSpan covers both
-/// facilities). \p name must outlive the scope; a string literal is the
-/// intended use.
-class FrScope {
- public:
-  explicit FrScope(const char* name) {
-    if (flight_recorder_enabled()) arm(name);
-  }
-  ~FrScope() {
-    if (name_ != nullptr) finish();
-  }
-
-  FrScope(const FrScope&) = delete;
-  FrScope& operator=(const FrScope&) = delete;
-
- private:
-  void arm(const char* name);
-  void finish();
-
-  const char* name_ = nullptr;
-  std::int64_t start_us_ = 0;
-};
-
-/// Records an instant marker (no-op when disabled).
-void fr_instant(const char* name);
 
 }  // namespace mlsi::obs

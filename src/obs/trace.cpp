@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
 
@@ -82,6 +81,7 @@ std::string Tracer::to_json() const {
                "\",\"ts\":", f.ev.ts_us, ",");
     if (f.ev.ph == 'X') out += cat("\"dur\":", f.ev.dur_us, ",");
     if (f.ev.ph == 'i') out += "\"s\":\"t\",";
+    if (!f.ev.args.empty()) out += cat("\"args\":", f.ev.args, ",");
     out += cat("\"pid\":1,\"tid\":", f.tid, "}");
   }
   out += "\n]\n";
@@ -130,31 +130,22 @@ int Tracer::distinct_threads() const {
   return n;
 }
 
-void TraceSpan::begin(const char* name, bool traced, bool recorded) {
-  cname_ = name;
-  if (traced) name_ = name;  // only the tracer needs an owned copy
-  start(traced, recorded);
-}
-
-void TraceSpan::start(bool traced, bool recorded) {
+void TraceSpan::start(const char* name, bool traced, bool recorded) {
+  name_ = name;
   traced_ = traced;
   recorded_ = recorded;
   start_us_ = support::monotonic_us();
-  if (recorded_) {
-    FlightRecorder::instance().record(
-        cname_ != nullptr ? cname_ : name_.c_str(), 'B', start_us_, 0);
-  }
+  if (recorded_) FlightRecorder::instance().record(name_, 'B', start_us_, 0);
 }
 
 void TraceSpan::end() {
   const std::int64_t now = support::monotonic_us();
   if (recorded_) {
-    FlightRecorder::instance().record(
-        cname_ != nullptr ? cname_ : name_.c_str(), 'E', now, now - start_us_);
+    FlightRecorder::instance().record(name_, 'E', now, now - start_us_);
   }
   if (traced_) {
     TraceEvent ev;
-    ev.name = std::move(name_);
+    ev.name = label_.empty() ? std::string{name_} : std::move(label_);
     ev.ph = 'X';
     ev.ts_us = start_us_;
     ev.dur_us = now - start_us_;
@@ -165,13 +156,16 @@ void TraceSpan::end() {
 
 namespace detail {
 
-void instant(const char* name) { instant(std::string{name}); }
-
-void instant(std::string name) {
+void instant(const char* name, std::initializer_list<TraceArg> args) {
   TraceEvent ev;
-  ev.name = std::move(name);
+  ev.name = name;
   ev.ph = 'i';
   ev.ts_us = support::monotonic_us();
+  if (args.size() > 0) {
+    json::Object obj;
+    for (const auto& [key, value] : args) obj[std::string{key}] = value;
+    ev.args = json::Value{std::move(obj)}.dump();
+  }
   Tracer::instance().record(std::move(ev));
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file trace.hpp
-/// \brief Thread-aware span/event tracer emitting Chrome trace-event JSON.
+/// \brief Thread-aware span/instant tracer emitting Chrome trace-event JSON:
+/// the event API of mlsi::obs.
 ///
 /// Synthesis runs on several threads (a large clockwise CP solve splits its
 /// first-pin subtrees over a pool; the server and batch runs solve on
@@ -11,26 +12,43 @@
 /// them as a Chrome trace-event JSON array — loadable in Perfetto /
 /// chrome://tracing.
 ///
+/// Two emitters, one rule each:
+///  * TraceSpan — a timed scope. It goes to the trace and to the flight
+///    recorder ('B' at construction, 'E' at destruction), whichever of the
+///    two is enabled. The recorder always gets the span's static name; a
+///    span may add a trace label carrying an id (`cp.subtree:3`,
+///    `serve.req#12`), built only when tracing is on.
+///  * trace_instant — a point event, on the trace only, under a static
+///    name. It may carry an "args" object, which is where ids go. The
+///    solver's search events (`cp.incumbent`, `milp.node`, `milp.prune`,
+///    ...) are instants; DESIGN.md "Observability" lists them with their
+///    args.
+///
 /// Overhead contract: when tracing is disabled (the default), every
 /// instrumentation site costs one relaxed atomic load and never allocates
-/// (obs_test asserts the allocation-free part). When enabled, a span costs
-/// two clock reads plus one short uncontended mutex hold on the calling
+/// (obs_test asserts the allocation-free part). An instant with args builds
+/// its argument list before the check inside trace_instant, so such sites
+/// guard with trace_enabled() themselves. When enabled, a span costs two
+/// clock reads plus one short uncontended mutex hold on the calling
 /// thread's own buffer. Buffers are only merged when write()/to_json() is
 /// called, typically at shutdown.
 ///
-/// Timestamps come from support::monotonic_us(), the same epoch the logger
-/// stamps lines with, so log and trace timelines align.
+/// Timestamps come from support::monotonic_us(), the same epoch the flight
+/// recorder stamps its records with, so the two timelines align.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/flight_rec.hpp"
+#include "support/json.hpp"
 #include "support/status.hpp"
 
 namespace mlsi::obs {
@@ -51,7 +69,11 @@ struct TraceEvent {
   char ph = 'X';
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
+  std::string args;  ///< serialized JSON object, or empty for none
 };
+
+/// One named argument of an instant.
+using TraceArg = std::pair<std::string_view, json::Value>;
 
 /// Process-wide trace collector. All methods are thread-safe.
 class Tracer {
@@ -90,30 +112,24 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
-/// RAII span: records a complete event covering construction..destruction.
-/// The const char* overload is the zero-cost-when-disabled form; the
-/// std::string overload exists for dynamic labels (CP subtree first pins,
-/// request ids) — its argument is built by the caller either way, so
-/// reserve it for cold call sites.
-///
-/// Every span also feeds the flight recorder ('B' at construction, 'E'
-/// with dur at destruction) when that is enabled — one instrumentation
-/// site serves both facilities. The const char* path stays allocation-free
-/// when only the recorder is on (the name is not copied into a
-/// std::string unless the tracer itself is enabled).
+/// RAII span: records a complete event covering construction..destruction
+/// in the trace, and a 'B'/'E' pair in the flight recorder. \p name must be
+/// a static string (a literal): the recorder copies it at both ends, so
+/// the recorder-only path never allocates.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) {
-    const bool traced = trace_enabled();
-    const bool recorded = flight_recorder_enabled();
-    if (traced || recorded) begin(name, traced, recorded);
-  }
-  explicit TraceSpan(std::string name) {
+  explicit TraceSpan(const char* name)
+      : TraceSpan(name, [] { return std::string{}; }) {}
+
+  /// A span whose trace label, \p label(), carries an id. \p label runs
+  /// only when tracing is on; the recorder gets the static \p name.
+  template <typename LabelFn>
+  TraceSpan(const char* name, LabelFn&& label) {
     const bool traced = trace_enabled();
     const bool recorded = flight_recorder_enabled();
     if (traced || recorded) {
-      name_ = std::move(name);
-      start(traced, recorded);
+      if (traced) label_ = label();
+      start(name, traced, recorded);
     }
   }
   ~TraceSpan() {
@@ -124,32 +140,27 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  void begin(const char* name, bool traced, bool recorded);
-  void start(bool traced, bool recorded);
+  void start(const char* name, bool traced, bool recorded);
   void end();
 
-  std::string name_;
-  const char* cname_ = nullptr;  ///< static-name fast path (no allocation)
+  const char* name_ = nullptr;
+  std::string label_;  ///< trace name when non-empty (tracing on only)
   std::int64_t start_us_ = -1;
   bool traced_ = false;
   bool recorded_ = false;
 };
 
 namespace detail {
-void instant(const char* name);
-void instant(std::string name);
+void instant(const char* name, std::initializer_list<TraceArg> args);
 }  // namespace detail
 
-/// Records an instant event (a point-in-time marker on the thread's track).
-inline void trace_instant(const char* name) {
-  if (trace_enabled()) detail::instant(name);
-}
-
-/// Dynamic-label form for cold sites (e.g. coalescing links carrying
-/// request ids); the caller pays the string build only when tracing is on,
-/// so guard the construction with trace_enabled().
-inline void trace_instant(std::string name) {
-  if (trace_enabled()) detail::instant(std::move(name));
+/// Records an instant event (a point-in-time marker on the thread's track)
+/// under the static \p name, with optional \p args; ids go in the args.
+/// The list is built before the enabled check, so a site with args guards
+/// the call with trace_enabled().
+inline void trace_instant(const char* name,
+                          std::initializer_list<TraceArg> args = {}) {
+  if (trace_enabled()) detail::instant(name, args);
 }
 
 }  // namespace mlsi::obs

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "support/log.hpp"
+#include "obs/trace.hpp"
 #include "support/status.hpp"
 
 namespace mlsi::opt {
@@ -186,7 +186,10 @@ int BasisLu::factorize(std::vector<int>& basis,
       new_basis[static_cast<std::size_t>(r)] = chosen;
       taken[static_cast<std::size_t>(chosen)] = 1;
       ++repaired;
-      log_debug("simplex: repaired singular basis with column ", chosen);
+      if (obs::trace_enabled()) {
+        obs::trace_instant("lp.basis_repair",
+                           {{"column", json::Value{chosen}}});
+      }
     }
   }
 

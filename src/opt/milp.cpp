@@ -274,9 +274,9 @@ void BranchAndBound::offer_incumbent(const std::vector<double>& x,
     best_x_ = std::move(rounded);
     have_incumbent_.store(true, std::memory_order_relaxed);
   }
-  if (obs::search_log_enabled()) {
-    obs::search_event(
-        "incumbent",
+  if (obs::trace_enabled()) {
+    obs::trace_instant(
+        "milp.incumbent",
         {{"engine", json::Value{"milp"}},
          {"obj", json::Value{obj_sign_ * objective_min}},
          {"nodes",
@@ -356,21 +356,23 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
   }
 
   const LpResult lp = bb.solve_lp_on(lp_, parent_basis, local);
-  // Per-node events are the verbose tail of the search log; every site
-  // guards explicitly so the field lists are never built when it is off.
-  if (obs::search_log_enabled()) {
-    obs::search_event(
-        "node", {{"node", json::Value{node}},
-                 {"depth", json::Value{depth}},
-                 {"warm", json::Value{lp.used_warm_start}},
-                 {"bound", lp.status == LpStatus::kOptimal
-                               ? json::Value{bb.obj_sign_ * lp.objective}
-                               : json::Value{}}});
+  // Per-node instants are the verbose tail of a trace; every site guards
+  // explicitly so the arg lists are never built when tracing is off.
+  if (obs::trace_enabled()) {
+    obs::trace_instant(
+        "milp.node",
+        {{"node", json::Value{node}},
+         {"depth", json::Value{depth}},
+         {"warm", json::Value{lp.used_warm_start}},
+         {"bound", lp.status == LpStatus::kOptimal
+                       ? json::Value{bb.obj_sign_ * lp.objective}
+                       : json::Value{}}});
   }
   if (lp.status == LpStatus::kInfeasible) {
-    if (obs::search_log_enabled()) {
-      obs::search_event("prune", {{"node", json::Value{node}},
-                                  {"reason", json::Value{"infeasible"}}});
+    if (obs::trace_enabled()) {
+      obs::trace_instant("milp.prune",
+                         {{"node", json::Value{node}},
+                          {"reason", json::Value{"infeasible"}}});
     }
     return true;  // prune
   }
@@ -381,9 +383,9 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
 
   if (lp.objective >=
       bb.best_obj_min_.load(std::memory_order_relaxed) - kAbsGap) {
-    if (obs::search_log_enabled()) {
-      obs::search_event("prune", {{"node", json::Value{node}},
-                                  {"reason", json::Value{"bound"}}});
+    if (obs::trace_enabled()) {
+      obs::trace_instant("milp.prune", {{"node", json::Value{node}},
+                                        {"reason", json::Value{"bound"}}});
     }
     return true;  // bound prune
   }
@@ -393,9 +395,9 @@ bool BranchAndBound::Searcher::explore(const LpBasis* parent_basis, int depth,
     bb.offer_incumbent(lp.x, lp.objective);
     return true;
   }
-  if (obs::search_log_enabled()) {
-    obs::search_event(
-        "branch",
+  if (obs::trace_enabled()) {
+    obs::trace_instant(
+        "milp.branch",
         {{"node", json::Value{node}},
          {"var", json::Value{j}},
          {"value", json::Value{lp.x[static_cast<std::size_t>(j)]}}});
@@ -450,14 +452,15 @@ LpResult BranchAndBound::solve_root() {
     obs::metrics().counter("milp.nodes").add();
   }
   LpResult root = solve_lp_on(lp_, nullptr, stats_);
-  if (obs::search_log_enabled()) {
-    obs::search_event(
-        "node", {{"node", json::Value{1L}},
-                 {"depth", json::Value{0}},
-                 {"warm", json::Value{false}},
-                 {"bound", root.status == LpStatus::kOptimal
-                               ? json::Value{obj_sign_ * root.objective}
-                               : json::Value{}}});
+  if (obs::trace_enabled()) {
+    obs::trace_instant(
+        "milp.node",
+        {{"node", json::Value{1L}},
+         {"depth", json::Value{0}},
+         {"warm", json::Value{false}},
+         {"bound", root.status == LpStatus::kOptimal
+                       ? json::Value{obj_sign_ * root.objective}
+                       : json::Value{}}});
   }
   if (root.status != LpStatus::kOptimal) return root;
 
@@ -543,16 +546,16 @@ void BranchAndBound::finalize(Solution& out, const Timer& timer) {
   if (out.status == MilpStatus::kOptimal && obs::metrics_enabled()) {
     obs::metrics().series("search.gap").record(0.0);
   }
-  if (obs::search_log_enabled()) {
-    obs::search_event("milp_done",
-                      {{"status", json::Value{to_string(out.status)}},
-                       {"nodes", json::Value{stats_.nodes}},
-                       {"cuts", json::Value{stats_.cuts_applied}},
-                       {"jobs", json::Value{jobs_}},
-                       {"warm_starts", json::Value{stats_.warm_starts}},
-                       {"cold_starts", json::Value{stats_.cold_starts}},
-                       {"obj", out.has_solution() ? json::Value{out.objective}
-                                                  : json::Value{}}});
+  if (obs::trace_enabled()) {
+    obs::trace_instant("milp.done",
+                       {{"status", json::Value{to_string(out.status)}},
+                        {"nodes", json::Value{stats_.nodes}},
+                        {"cuts", json::Value{stats_.cuts_applied}},
+                        {"jobs", json::Value{jobs_}},
+                        {"warm_starts", json::Value{stats_.warm_starts}},
+                        {"cold_starts", json::Value{stats_.cold_starts}},
+                        {"obj", out.has_solution() ? json::Value{out.objective}
+                                                   : json::Value{}}});
   }
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/basis_lu.hpp"
 #include "opt/simplex_dense.hpp"
 #include "opt/sparse.hpp"
@@ -257,7 +258,10 @@ void RevisedSimplex::factorize_basis() {
                     : up_[c];
     }
     basis_repaired_ = true;
-    log_debug("simplex: refactorization repaired ", repaired, " positions");
+    if (obs::trace_enabled()) {
+      obs::trace_instant("lp.basis_repair",
+                         {{"repaired", json::Value{repaired}}});
+    }
   }
   // factorize() permutes basis_, so the maps need rebuilding either way.
   std::fill(basic_row_.begin(), basic_row_.end(), -1);

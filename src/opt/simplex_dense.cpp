@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace.hpp"
 #include "opt/sparse.hpp"
-#include "support/log.hpp"
 #include "support/status.hpp"
 
 /// The original dense tableau method: T = B^{-1}[A | -I] is materialized in
@@ -250,7 +250,10 @@ void DenseSimplex::rebuild_tableau() {
       c = repl;
       best = repl_row;
       basis_repaired_ = true;
-      log_debug("simplex: repaired singular basis at position ", k);
+      if (obs::trace_enabled()) {
+        obs::trace_instant("lp.basis_repair",
+                           {{"position", json::Value{k}}});
+      }
     }
     if (best != k) {
       double* a = row(k);

@@ -81,6 +81,39 @@ synth::SynthesisResult to_result(const CachedResult& cached,
   return r;
 }
 
+bool fits(const CachedResult& cached, const CanonicalRequest& canon,
+          const arch::SwitchModel& model) {
+  if (cached.infeasible) return true;
+  const auto in_range = [](int id, int size) { return id >= 0 && id < size; };
+  if (cached.binding.size() != canon.module_to_canonical.size() ||
+      cached.flows.size() != canon.flow_to_canonical.size()) {
+    return false;
+  }
+  const int vertices = model.topology.num_vertices();
+  for (const int pin : cached.binding) {
+    if (pin != -1 && !in_range(pin, vertices)) return false;
+  }
+  for (const auto& [set, path_id] : cached.flows) {
+    if (!in_range(path_id, model.paths.size())) return false;
+  }
+  const int segments = model.topology.num_segments();
+  for (const int segment : cached.essential_valves) {
+    if (!in_range(segment, segments)) return false;
+  }
+  for (const std::string& row : cached.valve_states) {
+    if (row.size() != cached.essential_valves.size()) return false;
+    for (const char ch : row) {
+      const auto state = static_cast<synth::ValveState>(ch);
+      if (state != synth::ValveState::kOpen &&
+          state != synth::ValveState::kClosed &&
+          state != synth::ValveState::kDontCare) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 namespace {
 
 Value int_array(const std::vector<int>& v) {

@@ -80,6 +80,18 @@ struct CachedResult {
                                                const CanonicalRequest& canon,
                                                const arch::PathSet& paths);
 
+/// Whether \p cached can be rehydrated for \p canon's request on \p model:
+/// one pin per module and one (set, path) per flow of the request; every
+/// pin vertex, path id and valve segment inside the model; every
+/// valve-state row one known state ('O', 'C', 'X') per essential valve.
+/// An infeasibility proof carries no payload and always fits. The server
+/// treats a hit that does not fit (a hostile or stale store entry) as a
+/// miss, so to_result() and the response writer never index past the
+/// model.
+[[nodiscard]] bool fits(const CachedResult& cached,
+                        const CanonicalRequest& canon,
+                        const arch::SwitchModel& model);
+
 /// JSONL round-trip for persistence.
 [[nodiscard]] json::Value cached_to_json(const CachedResult& cached);
 [[nodiscard]] Result<CachedResult> cached_from_json(const json::Value& doc);

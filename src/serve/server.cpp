@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -217,6 +216,7 @@ ServeResponse Server::handle_control(const std::string& cmd, std::string id) {
 
 ServeResponse Server::respond(const ServeRequest& request,
                               const CanonicalRequest& canon,
+                              const arch::SwitchModel& model,
                               const CachedResult& value, Timer t0, bool cached,
                               bool coalesced, StageTiming timing) {
   ServeResponse resp;
@@ -225,8 +225,6 @@ ServeResponse Server::respond(const ServeRequest& request,
   resp.cached = cached;
   resp.coalesced = coalesced;
   const Timer t_permute;
-  const arch::SwitchModel& model = arch::switch_model(
-      request.spec.effective_pins_per_side(), options_.synth.path_options);
   const synth::SynthesisResult result = to_result(value, canon, model.paths);
   resp.result = io::result_to_json(model.topology, request.spec, result);
   // Per-response documents must not embed the process-global metrics
@@ -252,9 +250,8 @@ ServeResponse Server::handle(const ServeRequest& request) {
   timing.seq = seq;
   counters_.requests.fetch_add(1, std::memory_order_relaxed);
   count("serve.requests");
-  obs::FrScope fr_handle("serve.handle");
-  std::optional<obs::TraceSpan> span;
-  if (obs::trace_enabled()) span.emplace(cat("serve.req#", seq));
+  obs::TraceSpan span("serve.handle",
+                      [seq] { return cat("serve.req#", seq); });
 
   ServeResponse resp;
   resp.id = request.id;
@@ -292,15 +289,25 @@ ServeResponse Server::handle(const ServeRequest& request) {
   timing.canonicalize_us = elapsed_us(t_stage);
   observe_latency_us("serve.stage.canonicalize_us", timing.canonicalize_us);
 
+  // A hit is served only when it fits the request (see fits()). One that
+  // does not, a hostile or stale store entry, is a miss: the request is
+  // solved and the fresh answer replaces the entry.
+  const arch::SwitchModel& model = arch::switch_model(
+      request.spec.effective_pins_per_side(), options_.synth.path_options);
+  const auto probe = [&] {
+    auto entry = cache_.lookup(canon.key);
+    if (entry && !fits(*entry, canon, model)) entry.reset();
+    return entry;
+  };
   t_stage = Timer{};
-  auto hit = cache_.lookup(canon.key);
+  auto hit = probe();
   timing.cache_probe_us = elapsed_us(t_stage);
   observe_latency_us("serve.stage.cache_probe_us", timing.cache_probe_us);
   if (hit) {
     if (hit->infeasible) return replay_negative();
     counters_.hits.fetch_add(1, std::memory_order_relaxed);
     count("serve.hits");
-    return respond(request, canon, *hit, t0, /*cached=*/true,
+    return respond(request, canon, model, *hit, t0, /*cached=*/true,
                    /*coalesced=*/false, timing);
   }
 
@@ -314,11 +321,12 @@ ServeResponse Server::handle(const ServeRequest& request) {
     if (coalesce) {
       // A flight may have completed (and committed) between the lookup
       // above and taking this lock; re-check so we never re-solve.
-      if (auto racy_hit = cache_.lookup(canon.key)) {
+      if (auto racy_hit = probe()) {
         if (racy_hit->infeasible) return replay_negative();
         counters_.hits.fetch_add(1, std::memory_order_relaxed);
         count("serve.hits");
-        return respond(request, canon, *racy_hit, t0, true, false, timing);
+        return respond(request, canon, model, *racy_hit, t0, true, false,
+                       timing);
       }
       if (const auto it = flights_.find(canon.key.text);
           it != flights_.end()) {
@@ -353,8 +361,9 @@ ServeResponse Server::handle(const ServeRequest& request) {
     count("serve.coalesced");
     // The follower's link to the solve span it rides on.
     if (obs::trace_enabled()) {
-      obs::trace_instant(
-          cat("serve.coalesced#", seq, "->", flight->leader_seq));
+      obs::trace_instant("serve.coalesced",
+                         {{"seq", json::Value{seq}},
+                          {"leader_seq", json::Value{flight->leader_seq}}});
     }
   }
 
@@ -371,8 +380,8 @@ ServeResponse Server::handle(const ServeRequest& request) {
   if (flight->outcome == ServeOutcome::kOk) {
     // Every waiter rehydrates through its OWN canonical permutations, so a
     // relabeled duplicate gets the answer in its labeling.
-    return respond(request, canon, *flight->value, t0, /*cached=*/false,
-                   /*coalesced=*/!leader, timing);
+    return respond(request, canon, model, *flight->value, t0,
+                   /*cached=*/false, /*coalesced=*/!leader, timing);
   }
   resp.coalesced = !leader;
   return finish(flight->outcome, flight->error);
@@ -409,11 +418,9 @@ void Server::worker_loop() {
     opts.engine_params.stop = stop_.token();
     const Timer t_solve;
     auto solved = [&] {
-      obs::FrScope fr_solve("serve.solve");
-      std::optional<obs::TraceSpan> solve_span;
-      if (obs::trace_enabled()) {
-        solve_span.emplace(cat("serve.solve#", flight->leader_seq));
-      }
+      obs::TraceSpan span("serve.solve", [&] {
+        return cat("serve.solve#", flight->leader_seq);
+      });
       return synth::synthesize(flight->spec, opts);
     }();
     flight->solve_us = elapsed_us(t_solve);

@@ -7,13 +7,15 @@
 ///
 ///  1. validate the spec; 2. canonicalize it together with the synthesis
 ///  options and code version into a CacheKey; 3. answer hits straight from
-///  the sharded LRU (sub-millisecond, no solver involved); 4. coalesce
-///  concurrent identical misses onto one in-flight solve (every waiter
-///  shares the result, re-labeled per request); 5. admit the solve into a
-///  bounded queue — a full queue rejects the request instead of buffering
-///  unboundedly, and a request whose deadline expired while queued is
-///  rejected when a worker picks it up; 6. workers solve through the
-///  normal Synthesizer pipeline and commit proven-optimal answers to the
+///  the sharded LRU (sub-millisecond, no solver involved) — a hit whose
+///  payload does not fit the request (cache.hpp fits(): a hostile or
+///  stale store entry) counts as a miss, and its fresh answer replaces
+///  it; 4. coalesce concurrent identical misses onto one in-flight solve
+///  (every waiter shares the result, re-labeled per request); 5. admit the
+///  solve into a bounded queue — a full queue rejects the request instead
+///  of buffering unboundedly, and a request whose deadline expired while
+///  queued is rejected when a worker picks it up; 6. workers solve through
+///  the normal Synthesizer pipeline and commit proven-optimal answers to the
 ///  cache and the optional persistent store. Every answer, hit or fresh, is
 ///  carried back into the request's labeling on the process's shared switch
 ///  model (arch::switch_model()), the one the workers solved on. Proven infeasibility is
@@ -218,6 +220,7 @@ class Server {
                std::shared_ptr<const CachedResult> value, std::string error);
   ServeResponse respond(const ServeRequest& request,
                         const CanonicalRequest& canon,
+                        const arch::SwitchModel& model,
                         const CachedResult& value, Timer t0, bool cached,
                         bool coalesced, StageTiming timing);
   ServeResponse handle_control(const std::string& cmd, std::string id);

@@ -41,20 +41,28 @@ class Timer {
 namespace support {
 
 /// A wall-clock budget, pinned to an absolute monotonic-clock expiry.
-/// Default-constructed (or from a non-positive budget): no limit.
+/// Default-constructed (or from a non-positive budget, or one whose expiry
+/// the clock cannot represent): no limit.
 class Deadline {
  public:
   /// No limit.
   Deadline() = default;
 
-  /// Expires \p budget_seconds from now; non-positive means no limit.
+  /// Expires \p budget_seconds from now. A non-positive or NaN budget
+  /// means no limit, and so does one past the clock's last representable
+  /// instant (about 292 years of steady_clock nanoseconds; +inf included):
+  /// converting it would overflow.
   explicit Deadline(double budget_seconds) {
-    if (budget_seconds > 0) {
-      limited_ = true;
-      expiry_ = Timer::Clock::now() +
-                std::chrono::duration_cast<Timer::Clock::duration>(
-                    std::chrono::duration<double>(budget_seconds));
-    }
+    if (!(budget_seconds > 0)) return;
+    const Timer::Clock::time_point now = Timer::Clock::now();
+    const std::chrono::duration<double, Timer::Clock::period> budget =
+        std::chrono::duration<double>(budget_seconds);
+    const Timer::Clock::duration headroom =
+        Timer::Clock::time_point::max() - now;
+    if (!(budget.count() < static_cast<double>(headroom.count()))) return;
+    limited_ = true;
+    expiry_ = now + Timer::Clock::duration(
+                        static_cast<Timer::Clock::rep>(budget.count()));
   }
 
   /// Named constructors, reading better at call sites.

@@ -242,12 +242,11 @@ void CpSearch::record_incumbent() {
       best_set_[flow] = chosen_set_[pos];
     }
     best_sets_used_ = sets_used_;
-    if (obs::search_log_enabled()) {
-      obs::search_event("incumbent",
-                        {{"engine", json::Value{"cp"}},
-                         {"obj", json::Value{obj}},
-                         {"sets", json::Value{sets_used_}},
-                         {"nodes", json::Value{nodes_}}});
+    if (obs::trace_enabled()) {
+      obs::trace_instant("cp.incumbent", {{"engine", json::Value{"cp"}},
+                                          {"obj", json::Value{obj}},
+                                          {"sets", json::Value{sets_used_}},
+                                          {"nodes", json::Value{nodes_}}});
     }
     if (obs::metrics_enabled()) {
       obs::metrics().counter("cp.incumbents").add();
@@ -494,8 +493,8 @@ void CpSearch::split_first_pins(int jobs) {
         for (int p0 = next_pin++; p0 < num_pins_; p0 = next_pin++) {
           const auto slot = static_cast<std::size_t>(p0);
           try {
-            obs::TraceSpan span(obs::trace_enabled() ? cat("cp.subtree:", p0)
-                                                     : std::string{});
+            obs::TraceSpan span("cp.subtree",
+                                [p0] { return cat("cp.subtree:", p0); });
             auto sub =
                 std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
             sub->prepare();
@@ -616,11 +615,11 @@ Result<SynthesisResult> CpSearch::run() {
   if (out.stats.proven_optimal && obs::metrics_enabled()) {
     obs::metrics().series("search.gap").record(0.0);
   }
-  if (obs::search_log_enabled()) {
-    obs::search_event("cp_done",
-                      {{"proven", json::Value{out.stats.proven_optimal}},
-                       {"nodes", json::Value{nodes_}},
-                       {"obj", json::Value{out.objective}}});
+  if (obs::trace_enabled()) {
+    obs::trace_instant("cp.done",
+                       {{"proven", json::Value{out.stats.proven_optimal}},
+                        {"nodes", json::Value{nodes_}},
+                        {"obj", json::Value{out.objective}}});
   }
   return out;
 }

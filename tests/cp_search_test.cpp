@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <fstream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -377,6 +380,87 @@ TEST(ClockwiseSplitTest, OnlyALargeFirstSubtreeStartsThePool) {
   const ProblemSpec large = cases::chip_sw2(BindingPolicy::kClockwise);
   EXPECT_EQ(spans_of(large), 4 * large.pins_per_side - 1);
   EXPECT_EQ(spans_of(cases::kinase_sw2(BindingPolicy::kClockwise)), 0);
+}
+
+TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
+  // The CP search reports each improving incumbent and its end as trace
+  // instants with their fields under "args"; with the split, incumbents
+  // come from worker threads too.
+  const ProblemSpec spec = cases::chip_sw2(BindingPolicy::kClockwise);
+  const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+  const arch::PathSet paths = arch::enumerate_paths(topo);
+  auto& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  const auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
+  tracer.disable();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const auto doc = json::parse(tracer.to_json());
+  tracer.reset();
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+
+  int incumbents = 0;
+  int done = 0;
+  double best_obj = std::numeric_limits<double>::infinity();
+  for (const json::Value& ev : doc->as_array()) {
+    const std::string name = ev.get_string("name", "");
+    const json::Value* args = ev.find("args");
+    if (name == "cp.incumbent") {
+      ++incumbents;
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->get_string("engine", ""), "cp");
+      EXPECT_NE(args->find("sets"), nullptr);
+      EXPECT_NE(args->find("nodes"), nullptr);
+      best_obj = std::min(best_obj, args->get_number("obj", 0.0));
+    } else if (name == "cp.done") {
+      ++done;
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->get_bool("proven", false), result->stats.proven_optimal);
+      EXPECT_EQ(args->get_number("nodes", -1), result->stats.nodes);
+      EXPECT_NEAR(args->get_number("obj", 0.0), result->objective, 1e-9);
+    }
+  }
+  EXPECT_GE(incumbents, 1);
+  EXPECT_EQ(done, 1);
+  // The answer is the best incumbent any subtree recorded.
+  EXPECT_NEAR(best_obj, result->objective, 1e-9);
+}
+
+TEST(ClockwiseSplitTest, RecorderOnlySubtreeSpansKeepTheirName) {
+  // mlsi_serve runs with the flight recorder on and the tracer off. Each
+  // worker subtree must still be recorded under its static span name:
+  // ChIP sw.2 at jobs 4 splits 11 first pins, so 11 'B' and 11 'E'
+  // records named cp.subtree, and no record without a name.
+  const ProblemSpec spec = cases::chip_sw2(BindingPolicy::kClockwise);
+  const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+  const arch::PathSet paths = arch::enumerate_paths(topo);
+  auto& recorder = obs::FlightRecorder::instance();
+  recorder.reset();
+  recorder.enable();
+  const auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
+  recorder.disable();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const std::string path = ::testing::TempDir() + "cp_split_recorder.jsonl";
+  ASSERT_TRUE(recorder.dump(path).ok());
+  recorder.reset();
+
+  std::ifstream in(path);
+  int begins = 0;
+  int ends = 0;
+  int unnamed = 0;
+  for (std::string line; std::getline(in, line);) {
+    const auto rec = json::parse(line);
+    ASSERT_TRUE(rec.ok()) << line;
+    const std::string name = rec->get_string("name", "");
+    if (name.empty()) ++unnamed;
+    if (name != "cp.subtree") continue;
+    const std::string ph = rec->get_string("ph", "");
+    begins += ph == "B" ? 1 : 0;
+    ends += ph == "E" ? 1 : 0;
+  }
+  EXPECT_EQ(begins, 4 * spec.pins_per_side - 1);
+  EXPECT_EQ(ends, 4 * spec.pins_per_side - 1);
+  EXPECT_EQ(unnamed, 0);
 }
 
 TEST(ClockwiseSplitTest, CallerStopReachesTheWorkers) {

@@ -1,6 +1,6 @@
 // Tests for the observability layer: tracer span nesting and serialization,
-// metrics instruments (bucket edges and quantile estimation in particular),
-// search-log JSONL shape, flight-recorder rings (wraparound, crash dump),
+// instant args, metrics instruments (bucket edges and quantile estimation in
+// particular), flight-recorder rings fed by spans (wraparound, crash dump),
 // concurrent emission, and the allocation-free disabled path.
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "support/crash.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/strings.hpp"
 
 // The crash-dump death test re-raises a real SIGABRT; TSan's runtime
 // intercepts it and reports instead of dying cleanly, so skip there.
@@ -89,7 +90,6 @@ class ObsTest : public ::testing::Test {
     Tracer::instance().reset();
     Metrics::instance().disable();
     Metrics::instance().reset();
-    SearchLog::instance().close();
     FlightRecorder::instance().disable();
     FlightRecorder::instance().reset();
   }
@@ -98,13 +98,13 @@ class ObsTest : public ::testing::Test {
 TEST_F(ObsTest, DisabledByDefaultAndTogglable) {
   EXPECT_FALSE(trace_enabled());
   EXPECT_FALSE(metrics_enabled());
-  EXPECT_FALSE(search_log_enabled());
+  EXPECT_FALSE(flight_recorder_enabled());
   Tracer::instance().enable();
   Metrics::instance().enable();
-  SearchLog::instance().open_buffered();
+  FlightRecorder::instance().enable();
   EXPECT_TRUE(trace_enabled());
   EXPECT_TRUE(metrics_enabled());
-  EXPECT_TRUE(search_log_enabled());
+  EXPECT_TRUE(flight_recorder_enabled());
 }
 
 TEST_F(ObsTest, SpanNestingIsReflectedInTimestamps) {
@@ -314,25 +314,38 @@ TEST_F(ObsTest, SeriesTracksLastValue) {
   EXPECT_LE(s.points()[0].first, s.points()[1].first);
 }
 
-TEST_F(ObsTest, SearchLogEmitsOneJsonObjectPerLine) {
-  SearchLog::instance().open_buffered();
-  search_event("incumbent", {{"obj", json::Value{12.5}}});
-  search_event("prune", {{"reason", json::Value{"bound"}}});
-  SearchLog::instance().close();
-  search_event("after_close", {});  // dropped: log is disabled
+TEST_F(ObsTest, InstantArgsBecomeChromeArgsObject) {
+  Tracer::instance().enable();
+  trace_instant("milp.incumbent", {{"obj", json::Value{12.5}},
+                                   {"engine", json::Value{"milp"}}});
+  trace_instant("milp.prune", {{"reason", json::Value{"bound"}},
+                               {"bound", json::Value{}}});
+  trace_instant("plain");
+  Tracer::instance().disable();
+  trace_instant("after_close", {{"x", json::Value{1}}});  // dropped
 
-  const auto lines = SearchLog::instance().buffered_lines();
-  ASSERT_EQ(lines.size(), 2u);
-  const auto first = json::parse(lines[0]);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->find("ev")->as_string(), "incumbent");
-  EXPECT_EQ(first->find("obj")->as_number(), 12.5);
-  EXPECT_NE(first->find("t"), nullptr);
-  EXPECT_NE(first->find("tid"), nullptr);
-  const auto second = json::parse(lines[1]);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->find("ev")->as_string(), "prune");
-  EXPECT_EQ(second->find("reason")->as_string(), "bound");
+  const auto doc = json::parse(Tracer::instance().to_json());
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  const json::Array& events = doc->as_array();
+  ASSERT_EQ(events.size(), 3u);
+  for (const json::Value& ev : events) {
+    EXPECT_EQ(ev.find("ph")->as_string(), "i");
+    const std::string& name = ev.find("name")->as_string();
+    const json::Value* args = ev.find("args");
+    if (name == "milp.incumbent") {
+      ASSERT_NE(args, nullptr);
+      ASSERT_TRUE(args->is_object());
+      EXPECT_EQ(args->find("obj")->as_number(), 12.5);
+      EXPECT_EQ(args->find("engine")->as_string(), "milp");
+    } else if (name == "milp.prune") {
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->find("reason")->as_string(), "bound");
+      EXPECT_TRUE(args->find("bound")->is_null());
+    } else {
+      EXPECT_EQ(name, "plain");
+      EXPECT_EQ(args, nullptr) << "an instant without args has no member";
+    }
+  }
 }
 
 TEST_F(ObsTest, ConcurrentEmissionKeepsEveryEvent) {
@@ -341,9 +354,9 @@ TEST_F(ObsTest, ConcurrentEmissionKeepsEveryEvent) {
   // -DMLSI_SANITIZE=thread in scripts/check.sh.
   constexpr int kThreads = 4;
   constexpr int kEventsPerThread = 200;
+  constexpr int kTicksPerThread = kEventsPerThread / 50;
   Tracer::instance().enable();
   Metrics::instance().enable();
-  SearchLog::instance().open_buffered();
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -354,8 +367,8 @@ TEST_F(ObsTest, ConcurrentEmissionKeepsEveryEvent) {
         metrics().counter("test.concurrent").add();
         metrics().histogram("test.concurrent_hist", {10.0, 100.0})
             .observe(static_cast<double>(i));
-        if (i % 50 == 0) {
-          search_event("tick", {{"i", json::Value{i}}});
+        if (i % 50 == 0 && trace_enabled()) {
+          trace_instant("tick", {{"i", json::Value{i}}});
         }
       }
     });
@@ -363,21 +376,19 @@ TEST_F(ObsTest, ConcurrentEmissionKeepsEveryEvent) {
   for (auto& t : threads) t.join();
   Tracer::instance().disable();
 
-  EXPECT_EQ(Tracer::instance().event_count(),
-            static_cast<std::size_t>(kThreads * kEventsPerThread));
+  constexpr auto kEvents =
+      static_cast<std::size_t>(kThreads * (kEventsPerThread + kTicksPerThread));
+  EXPECT_EQ(Tracer::instance().event_count(), kEvents);
   EXPECT_GE(Tracer::instance().distinct_threads(), 2);
   EXPECT_EQ(metrics().counter("test.concurrent").value(),
             kThreads * kEventsPerThread);
   EXPECT_EQ(metrics().histogram("test.concurrent_hist", {}).count(),
             kThreads * kEventsPerThread);
-  EXPECT_EQ(SearchLog::instance().buffered_lines().size(),
-            static_cast<std::size_t>(kThreads * (kEventsPerThread / 50)));
 
   // The merged trace must still be valid JSON with per-thread tids.
   const auto doc = json::parse(Tracer::instance().to_json());
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->as_array().size(),
-            static_cast<std::size_t>(kThreads * kEventsPerThread));
+  EXPECT_EQ(doc->as_array().size(), kEvents);
 }
 
 TEST_F(ObsTest, TracerSurvivesEmitterThreadExit) {
@@ -398,11 +409,12 @@ TEST_F(ObsTest, FlightRecorderWraparoundKeepsNewestRecords) {
   rec.enable();
   // Overfill this thread's ring 3x: first two capacities under one name,
   // the final capacity under another. Only the final capacity survives.
-  for (std::size_t i = 0; i < 2 * FlightRecorder::kRecordsPerThread; ++i) {
-    fr_instant("wrap.old");
-  }
+  // Each span writes two records ('B' and 'E').
   for (std::size_t i = 0; i < FlightRecorder::kRecordsPerThread; ++i) {
-    fr_instant("wrap.new");
+    TraceSpan span("wrap.old");
+  }
+  for (std::size_t i = 0; i < FlightRecorder::kRecordsPerThread / 2; ++i) {
+    TraceSpan span("wrap.new");
   }
   rec.disable();
   EXPECT_EQ(rec.record_count(), FlightRecorder::kRecordsPerThread);
@@ -415,11 +427,11 @@ TEST_F(ObsTest, FlightRecorderWraparoundKeepsNewestRecords) {
   double prev_ts = -1.0;
   for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
-    ++lines;
     const auto doc = json::parse(line);
     ASSERT_TRUE(doc.ok()) << line;
     EXPECT_EQ(doc->find("name")->as_string(), "wrap.new");
-    EXPECT_EQ(doc->find("ph")->as_string(), "i");
+    EXPECT_EQ(doc->find("ph")->as_string(), lines % 2 == 0 ? "B" : "E");
+    ++lines;
     // Single ring, dumped oldest-first: timestamps never go backwards.
     const double ts = doc->find("ts")->as_number();
     EXPECT_GE(ts, prev_ts);
@@ -434,9 +446,9 @@ TEST_F(ObsTest, FlightRecorderSanitizesAndTruncatesNames) {
   // Control chars, quotes and backslashes would corrupt the JSONL dump a
   // signal handler writes without an escaper; they must be rewritten at
   // record time. Over-long names truncate to the fixed record field.
-  fr_instant("bad\"name\\with\ncontrol");
+  { TraceSpan span("bad\"name\\with\ncontrol"); }
   const std::string long_name(200, 'x');
-  fr_instant(long_name.c_str());
+  { TraceSpan span(long_name.c_str()); }
   rec.disable();
 
   const std::string path = ::testing::TempDir() + "obs_fr_names.jsonl";
@@ -449,9 +461,11 @@ TEST_F(ObsTest, FlightRecorderSanitizesAndTruncatesNames) {
     ASSERT_TRUE(doc.ok()) << line;
     names.push_back(doc->find("name")->as_string());
   }
-  ASSERT_EQ(names.size(), 2u);
+  ASSERT_EQ(names.size(), 4u);  // a 'B' and an 'E' per span
   EXPECT_EQ(names[0], "bad_name_with_control");
-  EXPECT_EQ(names[1], std::string(sizeof(FrRecord{}.name) - 1, 'x'));
+  EXPECT_EQ(names[1], "bad_name_with_control");
+  EXPECT_EQ(names[2], std::string(sizeof(FrRecord{}.name) - 1, 'x'));
+  EXPECT_EQ(names[3], names[2]);
 }
 
 #if !defined(MLSI_TSAN)
@@ -469,8 +483,8 @@ TEST_F(ObsTest, CrashHandlerDumpsFlightRecorder) {
         if (!rec.set_dump_path(path)) std::_Exit(3);
         support::install_crash_handler(
             [] { FlightRecorder::instance().dump_signal_safe(); });
-        FrScope wedged("crash.wedged_solve");
-        fr_instant("crash.last_words");
+        TraceSpan wedged("crash.wedged_solve");
+        { TraceSpan last("crash.last_words"); }
         std::abort();
       },
       "");
@@ -478,7 +492,7 @@ TEST_F(ObsTest, CrashHandlerDumpsFlightRecorder) {
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "crash handler left no dump at " << path;
   bool saw_open_span = false;
-  bool saw_instant = false;
+  bool saw_closed_span = false;
   for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
     const auto doc = json::parse(line);
@@ -488,10 +502,12 @@ TEST_F(ObsTest, CrashHandlerDumpsFlightRecorder) {
         doc->find("ph")->as_string() == "B") {
       saw_open_span = true;  // the still-open span at crash time
     }
-    if (name == "crash.last_words") saw_instant = true;
+    if (name == "crash.last_words" && doc->find("ph")->as_string() == "E") {
+      saw_closed_span = true;
+    }
   }
   EXPECT_TRUE(saw_open_span);
-  EXPECT_TRUE(saw_instant);
+  EXPECT_TRUE(saw_closed_span);
 }
 #endif  // !MLSI_TSAN
 
@@ -500,21 +516,31 @@ TEST_F(ObsTest, DisabledPathDoesNotAllocate) {
   support::thread_ordinal();
   support::monotonic_us();
 
-  const long before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
+  const auto hot_sites = [](int i) {
     TraceSpan span("hot.site");
-    FrScope fr("hot.fr_site");
+    TraceSpan labelled("hot.labelled", [i] { return cat("hot.labelled:", i); });
     trace_instant("hot.marker");
-    fr_instant("hot.fr_marker");
+    if (trace_enabled()) {
+      trace_instant("hot.args", {{"x", json::Value{i}}});
+    }
     if (metrics_enabled()) {
       metrics().counter("never").add();
     }
-    if (search_log_enabled()) {
-      search_event("never", {{"x", json::Value{1}}});
-    }
-  }
-  const long after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "disabled obs sites must not allocate";
+  };
+  long before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) hot_sites(i);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "disabled obs sites must not allocate";
+
+  // With only the recorder on (mlsi_serve's default), spans record their
+  // static names and never build a trace label: still no allocation once
+  // this thread's ring exists.
+  FlightRecorder::instance().enable();
+  hot_sites(0);
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) hot_sites(i);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "recorder-only spans must not allocate";
 }
 
 }  // namespace

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "opt/milp.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 
 namespace mlsi::opt {
@@ -245,10 +250,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MilpRandomTest, ::testing::Range(0, 80));
 
 // --- warm-start accounting ---------------------------------------------------
 
-TEST(MilpTest, ChildNodesWarmStartFromParentBasis) {
-  // A model fractional enough to force real branching: every non-root node
-  // is posed with its parent's basis, so cold starts stay at exactly the
-  // LPs that could not adopt one (the root, plus any repair fallback).
+/// A knapsack fractional enough to force real branching.
+Model branching_model() {
   Model m;
   std::vector<Var> xs;
   for (int j = 0; j < 8; ++j) xs.push_back(m.add_binary("x"));
@@ -260,6 +263,14 @@ TEST(MilpTest, ChildNodesWarmStartFromParentBasis) {
   }
   m.add_constraint(sum, Sense::kLe, 9.7);
   m.set_objective(obj, /*minimize=*/true);
+  return m;
+}
+
+TEST(MilpTest, ChildNodesWarmStartFromParentBasis) {
+  // Every non-root node is posed with its parent's basis, so cold starts
+  // stay at exactly the LPs that could not adopt one (the root, plus any
+  // repair fallback).
+  const Model m = branching_model();
   // Root cuts add extra (warm) LP re-solves on node 1, which would blur the
   // one-LP-per-node accounting this test pins down — disable them here.
   MilpParams params;
@@ -273,6 +284,70 @@ TEST(MilpTest, ChildNodesWarmStartFromParentBasis) {
   EXPECT_GE(s.stats.warm_starts, (s.stats.nodes - 1) / 2);
   EXPECT_GE(s.stats.cold_starts, 1);  // the root has no parent
   EXPECT_GT(s.stats.lp_factorizations, 0);
+}
+
+// --- search events -----------------------------------------------------------
+
+TEST(MilpTest, SearchEventsAreTraceInstants) {
+  // The branch & bound reports its search as trace instants: one milp.node
+  // per node, milp.branch / milp.prune / milp.incumbent as they happen and
+  // one milp.done, each with its fields under "args".
+  const Model m = branching_model();
+  MilpParams params;
+  params.cut_rounds = 0;  // branch on the raw relaxation
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  const Solution s = solve_milp(m, params);
+  tracer.disable();
+  ASSERT_EQ(s.status, MilpStatus::kOptimal);
+  ASSERT_GT(s.stats.nodes, 1) << "model did not branch; test is vacuous";
+  const auto doc = json::parse(tracer.to_json());
+  tracer.reset();
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+
+  std::map<std::string, int> count;
+  const auto has = [](const json::Value& args,
+                      std::initializer_list<const char*> keys) {
+    for (const char* key : keys) {
+      if (args.find(key) == nullptr) return ::testing::AssertionFailure() << key;
+    }
+    return ::testing::AssertionSuccess();
+  };
+  for (const json::Value& ev : doc->as_array()) {
+    const std::string name = ev.get_string("name", "");
+    if (name.rfind("milp.", 0) != 0 || ev.get_string("ph", "") != "i") continue;
+    ++count[name];
+    const json::Value* args = ev.find("args");
+    ASSERT_NE(args, nullptr) << name;
+    ASSERT_TRUE(args->is_object()) << name;
+    if (name == "milp.node") {
+      EXPECT_TRUE(has(*args, {"node", "depth", "warm", "bound"}));
+    } else if (name == "milp.branch") {
+      EXPECT_TRUE(has(*args, {"node", "var", "value"}));
+    } else if (name == "milp.prune") {
+      EXPECT_TRUE(has(*args, {"node", "reason"}));
+      const std::string reason = args->get_string("reason", "");
+      EXPECT_TRUE(reason == "bound" || reason == "infeasible") << reason;
+    } else if (name == "milp.incumbent") {
+      EXPECT_TRUE(has(*args, {"engine", "obj", "nodes", "gap"}));
+      EXPECT_EQ(args->get_string("engine", ""), "milp");
+    } else if (name == "milp.done") {
+      EXPECT_TRUE(has(*args, {"status", "nodes", "cuts", "jobs", "warm_starts",
+                              "cold_starts", "obj"}));
+      EXPECT_EQ(args->get_string("status", ""), "optimal");
+      EXPECT_EQ(args->get_number("nodes", -1), s.stats.nodes);
+      EXPECT_NEAR(args->get_number("obj", 0.0), s.objective, 1e-9);
+    } else {
+      ADD_FAILURE() << "unexpected search instant " << name;
+    }
+  }
+  EXPECT_EQ(count["milp.node"], s.stats.nodes);
+  EXPECT_GE(count["milp.branch"], 1);
+  EXPECT_GE(count["milp.prune"], 1);
+  EXPECT_GE(count["milp.incumbent"], 1);
+  EXPECT_EQ(count["milp.done"], 1);
 }
 
 TEST(MilpTest, DenseLpEngineAgreesWithRevised) {

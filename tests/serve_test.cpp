@@ -732,6 +732,105 @@ TEST(ServerTest, PersistedCacheSurvivesRestart) {
   std::remove(path.c_str());
 }
 
+TEST(ServerTest, HostileStoreEntryIsSolvedAfreshAndReplaced) {
+  // A store entry whose key is intact but whose payload does not fit the
+  // request (a path id past the path set, a binding shorter than the
+  // module list, a pin or valve id past the switch, an unknown valve
+  // state) must not be rehydrated: the hit counts as a miss, the request
+  // is solved, and the fresh answer replaces the entry. The first two
+  // entries used to abort mlsi_serve, and fuzz_boundaries_test's store
+  // fuzz hit the pin one too.
+  const std::string path = ::testing::TempDir() + "serve_hostile_store." +
+                           std::to_string(::getpid()) + ".jsonl";
+  ServeOptions options = quiet_options();
+  options.persist_path = path;
+  options.code_version = "test-build";
+  // Keep a valve on every used segment, so the design has valve states.
+  options.synth.reduction = synth::ValveReductionRule::kNone;
+  ServeRequest req;
+  req.id = "r1";
+  req.spec = demo_spec();
+  // The design, without the solve's own runtime.
+  const auto design = [](const ServeResponse& resp) {
+    json::Value doc = resp.result;
+    doc.as_object().erase("runtime_s");
+    return doc.dump();
+  };
+
+  std::remove(path.c_str());
+  std::string fresh_design;
+  std::vector<std::string> lines;
+  {
+    Server server(options);
+    const ServeResponse resp = server.handle(req);
+    ASSERT_EQ(resp.outcome, ServeOutcome::kOk) << resp.error;
+    ASSERT_FALSE(resp.result.find("valves")->as_array().empty());
+    fresh_design = design(resp);
+  }
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);  // header + the one entry
+
+  const std::pair<const char*, void (*)(json::Object&)> corruptions[] = {
+      {"path id out of range",
+       [](json::Object& r) {
+         r["flows"].as_array()[0].as_array()[1] = json::Value{99999};
+       }},
+      {"binding cut to one element",
+       [](json::Object& r) { r["binding"].as_array().resize(1); }},
+      {"pin vertex out of range",
+       [](json::Object& r) { r["binding"].as_array()[0] = json::Value{99999}; }},
+      {"valve segment out of range",
+       [](json::Object& r) {
+         r["essential_valves"].as_array()[0] = json::Value{99999};
+       }},
+      {"unknown valve state",
+       [](json::Object& r) {
+         json::Value& row = r["valve_states"].as_array()[0];
+         std::string states = row.as_string();
+         states[0] = 'Z';
+         row = json::Value{states};
+       }},
+  };
+  for (const auto& [what, corrupt] : corruptions) {
+    SCOPED_TRACE(what);
+    auto entry = json::parse(lines[1]);
+    ASSERT_TRUE(entry.ok());
+    corrupt(entry->as_object()["result"].as_object());
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << lines[0] << '\n' << entry->dump() << '\n';
+    }
+    Server server(options);
+    ASSERT_EQ(server.counters().persist_replayed, 1);
+    ServeResponse resp;
+    ASSERT_NO_THROW(resp = server.handle(req));
+    ASSERT_EQ(resp.outcome, ServeOutcome::kOk) << resp.error;
+    EXPECT_FALSE(resp.cached);
+    EXPECT_EQ(server.counters().solves, 1);
+    EXPECT_EQ(design(resp), fresh_design);
+    // The fresh answer replaced the misfit entry in place.
+    const ServeResponse again = server.handle(req);
+    EXPECT_TRUE(again.cached);
+    EXPECT_EQ(server.counters().solves, 1);
+    EXPECT_EQ(again.result.dump(), resp.result.dump());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServerTest, HugeTimeLimitMeansNoLimit) {
+  // 1e10 s lies past steady_clock's range; it used to overflow into an
+  // expiry in the past and reject the request as expired while queued.
+  Server server(quiet_options());
+  const std::string line = R"({"id":"big","time_limit_s":1e10,"case":)" +
+                           io::spec_to_json(demo_spec()).dump() + "}";
+  const ServeResponse resp = server.handle_line(line);
+  EXPECT_EQ(resp.outcome, ServeOutcome::kOk) << resp.error;
+  EXPECT_EQ(server.counters().rejected_deadline, 0);
+}
+
 TEST(ServerTest, StreamAnswersEveryLineIncludingMalformedOnes) {
   Server server(quiet_options());
   const json::Value case_doc = io::spec_to_json(demo_spec());

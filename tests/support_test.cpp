@@ -1,13 +1,14 @@
-// Unit tests for mlsi::support: Status/Result, strings, RNG, JSON, logger.
+// Unit tests for mlsi::support: Status/Result, strings, RNG, JSON, deadline,
+// warning lines.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <vector>
 
 #include "support/json.hpp"
 #include "support/log.hpp"
@@ -170,6 +171,23 @@ TEST(DeadlineTest, ZeroBudgetMeansUnlimited) {
   EXPECT_FALSE(d.limited());
 }
 
+TEST(DeadlineTest, UnrepresentableBudgetMeansUnlimited) {
+  // steady_clock counts int64 nanoseconds, so its last instant is about
+  // 9.2e9 s away: a budget past it cannot be an expiry and means no limit,
+  // where converting it used to overflow into an expiry in the past.
+  for (const double budget :
+       {1e10, 1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const Deadline d(budget);
+    EXPECT_FALSE(d.limited()) << budget;
+    EXPECT_FALSE(d.expired()) << budget;
+  }
+  const Deadline large(1e9);  // representable: a real, distant limit
+  EXPECT_TRUE(large.limited());
+  EXPECT_FALSE(large.expired());
+  EXPECT_GT(large.remaining_seconds(), 0.99e9);
+}
+
 TEST(DeadlineTest, TinyBudgetExpires) {
   Deadline d(1e-9);
   // The deadline is in the past (or passes immediately).
@@ -260,65 +278,17 @@ TEST(JsonTest, TypeMismatchAsserts) {
 
 // --- logger ---------------------------------------------------------------
 
-/// Installs a capturing sink + permissive level for one test, restoring the
-/// defaults (stderr writer, kWarn, text format) on scope exit.
-class LogCapture {
- public:
-  LogCapture() {
-    set_log_level(LogLevel::kDebug);
-    set_log_sink([this](LogLevel level, std::string_view line) {
-      levels.push_back(level);
-      lines.emplace_back(line);
-    });
-  }
-  ~LogCapture() {
-    set_log_sink({});
-    set_log_format(LogFormat::kText);
-    set_log_level(LogLevel::kWarn);
-  }
-
-  std::vector<LogLevel> levels;
-  std::vector<std::string> lines;
-};
-
 TEST(LogTest, SinkCapturesFormattedLines) {
-  LogCapture capture;
-  log_info("hello ", 42);
-  log_warn("watch out");
-  ASSERT_EQ(capture.lines.size(), 2u);
-  EXPECT_EQ(capture.levels[0], LogLevel::kInfo);
-  EXPECT_EQ(capture.levels[1], LogLevel::kWarn);
-  // Text format: "[mlsi INFO  +<t>s t<tid>] msg".
-  EXPECT_NE(capture.lines[0].find("INFO"), std::string::npos);
-  EXPECT_NE(capture.lines[0].find("hello 42"), std::string::npos);
-  EXPECT_NE(capture.lines[0].find("t" + std::to_string(
-                                            support::thread_ordinal())),
-            std::string::npos);
-  EXPECT_EQ(capture.lines[0].back(), '2') << "no trailing newline in sink";
-}
-
-TEST(LogTest, LevelThresholdFilters) {
-  LogCapture capture;
-  set_log_level(LogLevel::kError);
-  log_debug("nope");
-  log_info("nope");
-  log_warn("nope");
-  log_error("yes");
-  ASSERT_EQ(capture.lines.size(), 1u);
-  EXPECT_EQ(capture.levels[0], LogLevel::kError);
-}
-
-TEST(LogTest, JsonlLinesParse) {
-  LogCapture capture;
-  set_log_format(LogFormat::kJsonl);
-  log_info("quoted \"msg\" with\nnewline");
-  ASSERT_EQ(capture.lines.size(), 1u);
-  const auto doc = json::parse(capture.lines[0]);
-  ASSERT_TRUE(doc.ok()) << capture.lines[0];
-  EXPECT_EQ(doc->get_string("level", ""), "info");
-  EXPECT_EQ(doc->get_string("msg", ""), "quoted \"msg\" with\nnewline");
-  EXPECT_EQ(doc->get_int("tid", -1), support::thread_ordinal());
-  EXPECT_GE(doc->get_number("t", -1.0), 0.0);
+  // log_warn writes one line to stderr: "[mlsi WARN +<t>s t<tid>] msg".
+  ::testing::internal::CaptureStderr();
+  log_warn("watch out ", 42);
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out.rfind("[mlsi WARN +", 0), 0u) << out;
+  EXPECT_NE(out.find("s t" + std::to_string(support::thread_ordinal()) +
+                     "] watch out 42\n"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1) << out;
 }
 
 TEST(LogTest, ThreadOrdinalsAreStableAndDistinct) {

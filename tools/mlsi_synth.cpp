@@ -26,11 +26,13 @@
 //                                      LP format (for Gurobi/SCIP/HiGHS)
 //   --trace-out <path>                 record a Chrome trace-event JSON of
 //                                      the run (open in Perfetto /
-//                                      chrome://tracing)
+//                                      chrome://tracing); the solver's
+//                                      search events (incumbents, B&B
+//                                      nodes, prunes, branches) are its
+//                                      instants, with their fields in
+//                                      "args"
 //   --metrics-out <path>               write the metrics registry snapshot
 //                                      (counters/histograms/series) as JSON
-//   --search-log <path>                stream solver search events (node,
-//                                      prune, branch, incumbent) as JSONL
 //   --quiet                            suppress the human-readable report
 //
 // Exit codes: 0 success (validated), 2 infeasible, 3 budget exhausted,
@@ -63,7 +65,7 @@ int usage(const char* argv0) {
       "       [--pressure off|greedy|ilp] [--no-reduction]\n"
       "       [--cp-symmetry on|off] [--svg F]\n"
       "       [--control F] [--json F] [--export-lp F] [--trace-out F]\n"
-      "       [--metrics-out F] [--search-log F] [--quiet]\n",
+      "       [--metrics-out F] [--quiet]\n",
       argv0);
   return 1;
 }
@@ -78,7 +80,6 @@ struct ToolOptions {
   std::string lp_path;
   std::string trace_path;
   std::string metrics_path;
-  std::string search_log_path;
   bool quiet = false;
 };
 
@@ -124,7 +125,6 @@ Status parse_options(support::ArgParser& args, synth::SynthesisOptions& synth,
   tool.lp_path = args.option("--export-lp").value_or("");
   tool.trace_path = args.option("--trace-out").value_or("");
   tool.metrics_path = args.option("--metrics-out").value_or("");
-  tool.search_log_path = args.option("--search-log").value_or("");
   tool.quiet = args.flag("--quiet");
   const Status parsed = args.finish(1);
   if (!parsed.ok()) return parsed;
@@ -142,12 +142,6 @@ struct ObsSession {
       : trace_path(tool.trace_path), metrics_path(tool.metrics_path) {
     if (!trace_path.empty()) obs::Tracer::instance().enable();
     if (!metrics_path.empty()) obs::Metrics::instance().enable();
-    if (!tool.search_log_path.empty()) {
-      const Status s = obs::SearchLog::instance().open(tool.search_log_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "search-log: %s\n", s.to_string().c_str());
-      }
-    }
   }
 
   ~ObsSession() {
@@ -163,7 +157,6 @@ struct ObsSession {
         std::fprintf(stderr, "metrics: %s\n", s.to_string().c_str());
       }
     }
-    obs::SearchLog::instance().close();
   }
 };
 

@@ -1,9 +1,9 @@
 /// \file obs_check.cpp
-/// \brief Validator for the observability artifacts mlsi_synth writes.
+/// \brief Validator for the observability artifacts mlsi_synth and
+/// mlsi_serve write.
 ///
 /// Usage:
 ///   obs_check --trace FILE       Chrome trace-event JSON array
-///   obs_check --search-log FILE  JSONL search log
 ///   obs_check --metrics FILE --schema scripts/metrics_schema.json
 ///   obs_check --flight-rec FILE  flight-recorder JSONL dump
 ///
@@ -18,10 +18,9 @@
 ///    pid/tid with the right types; ph is "X" (with a non-negative dur),
 ///    "i", or a "B"/"E" pair — B/E events must balance per thread (depth
 ///    never goes negative, every span is closed) and every thread's
-///    timestamps must be monotonically non-decreasing; at least one event
-///    is present.
-///  - search log: every line parses as a JSON object carrying "ev" (string),
-///    "t" (number) and "tid" (integer).
+///    timestamps must be monotonically non-decreasing; "args", when
+///    present (the search-event instants carry their fields there), is an
+///    object; at least one event is present.
 ///  - metrics: parses as an object whose "schema" is between 1 and the
 ///    checked-in schema's version (the schema only grows, so older
 ///    snapshots stay valid — additive-only) and whose counter/gauge/
@@ -29,11 +28,12 @@
 ///    the schema file was not updated with the new instrument); histograms
 ///    must have coherent edges/counts arrays (counts.size == edges.size +
 ///    1) and, when present, ordered quantiles (p50 <= p95 <= p99).
-///  - flight-rec: JSONL; each record carries name/ph/ts/dur/tid with ph in
-///    B/E/i and per-thread non-decreasing timestamps. Unlike --trace, B/E
-///    balance is NOT enforced: ring wraparound legitimately drops a span's
-///    B, and a wedged solve's span has no E — that trailing B is the
-///    evidence the recorder exists to capture.
+///  - flight-rec: JSONL; each record carries a non-empty name and ph/ts/
+///    dur/tid, with ph "B" or "E" (the recorder holds spans only) and
+///    per-thread non-decreasing timestamps. Unlike --trace, B/E balance is
+///    NOT enforced: ring wraparound legitimately drops a span's B, and a
+///    wedged solve's span has no E — that trailing B is the evidence the
+///    recorder exists to capture.
 
 #include <cstdio>
 #include <fstream>
@@ -127,6 +127,10 @@ void check_trace(const std::string& path) {
     if (ts == nullptr || !ts->is_number() || ts->as_number() < 0) {
       fail(where + ": missing or negative \"ts\"");
     }
+    if (const Value* args = ev.find("args");
+        args != nullptr && !args->is_object()) {
+      fail(where + ": \"args\" is not an object");
+    }
     const Value* pid = ev.find("pid");
     if (pid == nullptr || !is_integral_number(*pid)) {
       fail(where + ": missing integer \"pid\"");
@@ -161,53 +165,6 @@ void check_trace(const std::string& path) {
   }
   std::fprintf(stderr, "obs_check: trace %s: %zu events across %zu threads\n",
                path.c_str(), events.size(), last_ts.size());
-}
-
-// --- search log -----------------------------------------------------------
-
-void check_search_log(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    fail("cannot open " + path);
-    return;
-  }
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t records = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const std::string where =
-        "search log " + path + " line " + std::to_string(lineno);
-    const auto doc = mlsi::json::parse(line);
-    if (!doc.ok()) {
-      fail(where + ": " + doc.status().to_string());
-      continue;
-    }
-    if (!doc->is_object()) {
-      fail(where + ": not a JSON object");
-      continue;
-    }
-    const Value* ev = doc->find("ev");
-    if (ev == nullptr || !ev->is_string() || ev->as_string().empty()) {
-      fail(where + ": missing \"ev\"");
-    }
-    const Value* t = doc->find("t");
-    if (t == nullptr || !t->is_number() || t->as_number() < 0) {
-      fail(where + ": missing or negative \"t\"");
-    }
-    const Value* tid = doc->find("tid");
-    if (tid == nullptr || !is_integral_number(*tid)) {
-      fail(where + ": missing integer \"tid\"");
-    }
-    ++records;
-  }
-  if (records == 0) {
-    fail("search log " + path + ": no records");
-    return;
-  }
-  std::fprintf(stderr, "obs_check: search log %s: %zu records\n", path.c_str(),
-               records);
 }
 
 // --- metrics --------------------------------------------------------------
@@ -334,9 +291,8 @@ void check_flight_rec(const std::string& path) {
     }
     const Value* ph = doc->find("ph");
     if (ph == nullptr || !ph->is_string() ||
-        (ph->as_string() != "B" && ph->as_string() != "E" &&
-         ph->as_string() != "i")) {
-      fail(where + ": \"ph\" must be \"B\", \"E\" or \"i\"");
+        (ph->as_string() != "B" && ph->as_string() != "E")) {
+      fail(where + ": \"ph\" must be \"B\" or \"E\"");
     }
     const Value* dur = doc->find("dur");
     if (dur == nullptr || !dur->is_number() || dur->as_number() < 0) {
@@ -376,8 +332,7 @@ void check_flight_rec(const std::string& path) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: obs_check [--trace FILE] [--search-log FILE]\n"
-      "                 [--metrics FILE --schema SCHEMA]\n"
+      "usage: obs_check [--trace FILE] [--metrics FILE --schema SCHEMA]\n"
       "                 [--flight-rec FILE]\n"
       "Validates mlsi_synth/mlsi_serve observability outputs; exits\n"
       "non-zero on any format violation.\n");
@@ -388,7 +343,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  std::string search_log_path;
   std::string metrics_path;
   std::string schema_path;
   std::string flight_rec_path;
@@ -399,8 +353,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--trace") {
       if (const char* v = next()) trace_path = v; else return usage();
-    } else if (arg == "--search-log") {
-      if (const char* v = next()) search_log_path = v; else return usage();
     } else if (arg == "--metrics") {
       if (const char* v = next()) metrics_path = v; else return usage();
     } else if (arg == "--schema") {
@@ -411,8 +363,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (trace_path.empty() && search_log_path.empty() && metrics_path.empty() &&
-      flight_rec_path.empty()) {
+  if (trace_path.empty() && metrics_path.empty() && flight_rec_path.empty()) {
     return usage();
   }
   if (!metrics_path.empty() && schema_path.empty()) {
@@ -420,7 +371,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!trace_path.empty()) check_trace(trace_path);
-  if (!search_log_path.empty()) check_search_log(search_log_path);
   if (!metrics_path.empty()) check_metrics(metrics_path, schema_path);
   if (!flight_rec_path.empty()) check_flight_rec(flight_rec_path);
   if (g_failures > 0) {
