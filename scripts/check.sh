@@ -174,10 +174,11 @@ build-asan/tests/obs_test
 # Input boundaries under ASan/UBSan: hostile case documents, serve request
 # lines and persistent-store entries must be rejected (or, for a store
 # entry that does not fit its request, re-solved), not abort; the mutation
-# fuzz drives all three from the checked-in seeds.
+# fuzz drives all three from the checked-in seeds. The socket transport
+# runs here too: 300 connections, each thread joined when it ends.
 build-asan/tests/io_test
 build-asan/tests/serve_test \
-    --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*'
+    --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*:ServerTest.Socket*'
 build-asan/tests/fuzz_boundaries_test
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
@@ -188,8 +189,9 @@ build-tsan/tests/exec_test
 build-tsan/tests/obs_test
 # The process-wide switch-model map: racing first callers share one build.
 build-tsan/tests/arch_paths_test --gtest_filter='SwitchModelTest.*'
-# Serving layer under TSan: sharded LRU, coalesced flights, admission
-# queue and persistence, all driven by genuinely concurrent clients.
+# Serving layer under TSan: sharded LRU, coalesced flights (followers
+# bounded by their own budgets), admission queue, persistence and socket
+# connection threads, all driven by genuinely concurrent clients.
 build-tsan/tests/serve_test
 # Parallel branch & bound: shared incumbent, node counter and frontier under
 # real contention (determinism + stop-token unwind tests included).

@@ -1,6 +1,5 @@
 #include "io/case_io.hpp"
 
-#include "obs/metrics.hpp"
 #include "support/strings.hpp"
 
 namespace mlsi::io {
@@ -235,12 +234,6 @@ Value result_to_json(const arch::SwitchTopology& topo,
     valves.push_back(Value{std::move(vo)});
   }
   obj["valves"] = Value{std::move(valves)};
-
-  // Schema v2: when the run collected metrics, embed the snapshot so a
-  // result file is self-contained (same document --metrics-out writes).
-  if (obs::metrics_enabled()) {
-    obj["metrics"] = obs::Metrics::instance().snapshot();
-  }
   return Value{std::move(obj)};
 }
 

@@ -41,18 +41,22 @@ Status save_spec(const std::string& path, const synth::ProblemSpec& spec);
 /// result_to_json() (the "version" field). Bump on any breaking change to
 /// field names or meanings; the full schema is documented in README.md.
 /// History: v1 original; v2 adds an optional "metrics" section (the
-/// obs::Metrics snapshot) when metrics collection is enabled for the run;
-/// v3 adds the MILP cutting-plane counters "cuts_generated",
+/// process metrics snapshot) when metrics collection is enabled for the
+/// run; v3 adds the MILP cutting-plane counters "cuts_generated",
 /// "cuts_applied" and "cuts_dropped" (additive — v2 consumers that ignore
 /// unknown keys keep working); v4 adds the learning-CP counters
 /// "nogoods_recorded", "nogood_hits" and "restarts" (additive likewise);
-/// v5 removes those three again, with the learning search they counted.
-inline constexpr int kResultSchemaVersion = 5;
+/// v5 removes those three again, with the learning search they counted;
+/// v6 removes the "metrics" section: a result document is its result
+/// alone, and the snapshot goes only where --metrics-out writes it.
+inline constexpr int kResultSchemaVersion = 6;
 
 /// Serializes a synthesis result (for EXPERIMENTS.md-style records): the
 /// schedule, binding, per-flow paths by segment names, lengths, valves and
 /// pressure groups. The document carries "version" = kResultSchemaVersion
-/// so downstream consumers can detect schema changes.
+/// so downstream consumers can detect schema changes. It depends on its
+/// arguments only: the same result gives the same document whatever
+/// process-wide observability is switched on.
 json::Value result_to_json(const arch::SwitchTopology& topo,
                            const synth::ProblemSpec& spec,
                            const synth::SynthesisResult& result);

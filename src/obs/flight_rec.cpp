@@ -109,23 +109,52 @@ bool FlightRecorder::set_dump_path(const std::string& path) {
   return true;
 }
 
+FlightRecorder::Lease::~Lease() {
+  if (ring != nullptr) FlightRecorder::instance().release_ring(ring);
+  ring = nullptr;  // a record from a later thread-exit destructor drops
+}
+
 FlightRecorder::Ring* FlightRecorder::local_ring() {
-  thread_local Ring* ring = [this]() -> Ring* {
-    const int idx = ring_count_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= static_cast<int>(kMaxThreads)) return nullptr;
-    auto* r = new Ring();  // owned by the registry, lives forever
-    r->tid = support::thread_ordinal();
-    rings_[static_cast<std::size_t>(idx)].store(r, std::memory_order_release);
-    return r;
-  }();
+  thread_local Lease lease{acquire_ring()};
+  return lease.ring;
+}
+
+FlightRecorder::Ring* FlightRecorder::acquire_ring() {
+  Ring* ring = nullptr;
+  {
+    std::lock_guard lock(pool_mutex_);
+    const int filled = ring_count_.load(std::memory_order_relaxed);
+    if (filled < static_cast<int>(kMaxThreads)) {
+      ring = new Ring();  // owned by the table, lives forever
+      rings_[static_cast<std::size_t>(filled)].store(ring,
+                                                      std::memory_order_release);
+      ring_count_.store(filled + 1, std::memory_order_release);
+    } else if (!free_rings_.empty()) {
+      ring = free_rings_.front();
+      free_rings_.pop_front();
+    } else {
+      return nullptr;  // every ring is held by a live thread: drop
+    }
+  }
+  std::lock_guard lock(ring->mutex);
+  for (FrRecord& rec : ring->records) rec = FrRecord{};
+  ring->head.store(0, std::memory_order_relaxed);
+  ring->tid = support::thread_ordinal();
   return ring;
+}
+
+void FlightRecorder::release_ring(Ring* ring) {
+  // The exited thread's records stay dumpable until a new thread takes
+  // the ring.
+  std::lock_guard lock(pool_mutex_);
+  free_rings_.push_back(ring);
 }
 
 void FlightRecorder::record(const char* name, char ph, std::int64_t ts_us,
                             std::int64_t dur_us) {
   if (!flight_recorder_enabled()) return;
   Ring* ring = local_ring();
-  if (ring == nullptr) return;  // thread kMaxThreads+1 onwards: drop
+  if (ring == nullptr) return;  // every ring was held when this thread began
   std::lock_guard lock(ring->mutex);
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
   FrRecord& slot = ring->records[head % kRecordsPerThread];
@@ -137,8 +166,7 @@ void FlightRecorder::record(const char* name, char ph, std::int64_t ts_us,
 }
 
 void FlightRecorder::write_rings(int fd, bool lock) const {
-  const int limit = std::min(ring_count_.load(std::memory_order_acquire),
-                             static_cast<int>(kMaxThreads));
+  const int limit = ring_count_.load(std::memory_order_acquire);
   char line[192];
   for (int i = 0; i < limit; ++i) {
     Ring* ring =
@@ -182,8 +210,7 @@ void FlightRecorder::dump_signal_safe() const {
 }
 
 std::size_t FlightRecorder::record_count() const {
-  const int limit = std::min(ring_count_.load(std::memory_order_acquire),
-                             static_cast<int>(kMaxThreads));
+  const int limit = ring_count_.load(std::memory_order_acquire);
   std::size_t n = 0;
   for (int i = 0; i < limit; ++i) {
     Ring* ring =
@@ -197,8 +224,7 @@ std::size_t FlightRecorder::record_count() const {
 }
 
 void FlightRecorder::reset() {
-  const int limit = std::min(ring_count_.load(std::memory_order_acquire),
-                             static_cast<int>(kMaxThreads));
+  const int limit = ring_count_.load(std::memory_order_acquire);
   for (int i = 0; i < limit; ++i) {
     Ring* ring =
         rings_[static_cast<std::size_t>(i)].load(std::memory_order_acquire);

@@ -15,8 +15,14 @@
 /// so the last thing every thread was doing survives the crash.
 ///
 /// Memory bound: kMaxThreads rings x kRecordsPerThread records x
-/// sizeof(FrRecord) (64 B) ~= 1 MiB worst case, allocated once per thread
-/// on first record and never freed or grown. Names are *copied* into the
+/// sizeof(FrRecord) (64 B) ~= 1 MiB worst case. A thread takes a ring on
+/// its first record and hands it back when it exits; the next new thread
+/// reuses the ring handed back longest ago (cleared and stamped with the
+/// new tid), so a daemon that keeps starting threads (one per socket
+/// connection, a pool per split solve) keeps recording. Only a thread
+/// that starts while kMaxThreads others hold rings drops its records.
+/// Rings are never freed or grown, so the table the signal handler walks
+/// is a fixed array of live pointers. Names are *copied* into the
 /// fixed-size record (truncated, sanitized to printable ASCII) so a record
 /// never holds a pointer a signal handler could chase into freed memory.
 ///
@@ -40,6 +46,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 
@@ -69,7 +76,8 @@ struct FrRecord {
 class FlightRecorder {
  public:
   static constexpr std::size_t kRecordsPerThread = 256;
-  static constexpr std::size_t kMaxThreads = 64;  ///< extra threads drop
+  /// Rings in the table: threads holding one at the same time.
+  static constexpr std::size_t kMaxThreads = 64;
 
   static FlightRecorder& instance();
 
@@ -113,13 +121,28 @@ class FlightRecorder {
     std::array<FrRecord, kRecordsPerThread> records;
     int tid = 0;
   };
+  /// A thread's hold on its ring; destroyed at thread exit, it hands the
+  /// ring back.
+  struct Lease {
+    explicit Lease(Ring* held) : ring(held) {}
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Ring* ring;
+  };
 
   FlightRecorder() = default;
   Ring* local_ring();
+  /// A new ring while the table has room, else the ring handed back
+  /// longest ago; nullptr when every ring is held.
+  Ring* acquire_ring();
+  void release_ring(Ring* ring);
   void write_rings(int fd, bool lock) const;
 
-  std::atomic<int> ring_count_{0};
+  std::atomic<int> ring_count_{0};  ///< table slots filled, <= kMaxThreads
   std::array<std::atomic<Ring*>, kMaxThreads> rings_{};
+  std::mutex pool_mutex_;  ///< guards filling the table and free_rings_
+  std::deque<Ring*> free_rings_;  ///< handed back, longest ago first
   char dump_path_[256] = {};
 };
 

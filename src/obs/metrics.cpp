@@ -76,12 +76,13 @@ void Series::record(double value) {
 
 void Series::record_at(double t_seconds, double value) {
   std::lock_guard lock(mutex_);
+  if (points_.size() == kMaxPoints) points_.pop_front();
   points_.emplace_back(t_seconds, value);
 }
 
 std::vector<std::pair<double, double>> Series::points() const {
   std::lock_guard lock(mutex_);
-  return points_;
+  return {points_.begin(), points_.end()};
 }
 
 bool Series::empty() const {

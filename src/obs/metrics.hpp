@@ -18,8 +18,8 @@
 /// loops may cache them.
 ///
 /// The snapshot() schema (also written by mlsi_synth --metrics-out,
-/// embedded in bench telemetry / the --json result, and served live by
-/// mlsi_serve's {"cmd":"stats"} endpoint) is:
+/// embedded in bench telemetry, and served live by mlsi_serve's
+/// {"cmd":"stats"} endpoint) is:
 /// \code{.json}
 /// {
 ///   "schema": 2,
@@ -38,6 +38,7 @@
 /// old snapshots stay green — the schema only grows.
 
 #include <atomic>
+#include <deque>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -140,10 +141,18 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Append-only (timestamp, value) timeline — the incumbent trajectory and
-/// the optimality-gap series. Timestamps use the shared monotonic epoch.
+/// (timestamp, value) timeline — the incumbent trajectory and the
+/// optimality-gap series. Timestamps use the shared monotonic epoch.
 class Series {
  public:
+  /// Points kept: the most recent ones, oldest dropped first. A daemon
+  /// (mlsi_serve keeps metrics on for its whole life) records into the
+  /// same series on every solve, and each stats poll and the exit
+  /// --metrics-out serialize all of it; 1024 points bound that at about
+  /// 20 KB per series while holding every point of one solve's timeline
+  /// (a perfbench hard case records at most 4).
+  static constexpr std::size_t kMaxPoints = 1024;
+
   /// Appends (now, value).
   void record(double value);
   /// Appends with an explicit timestamp (tests, replay).
@@ -157,7 +166,7 @@ class Series {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<std::pair<double, double>> points_;
+  std::deque<std::pair<double, double>> points_;  ///< oldest first
 };
 
 /// Registry of all instruments. Instruments are created on first lookup

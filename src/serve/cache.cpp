@@ -268,12 +268,8 @@ std::shared_ptr<const CachedResult> ResultCache::lookup(const CacheKey& key) {
   Shard& shard = shard_for(key.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key.hash);
-  if (it == shard.index.end() || !(it->second->key == key)) {
-    ++shard.misses;
-    return nullptr;
-  }
+  if (it == shard.index.end() || !(it->second->key == key)) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
   return it->second->value;
 }
 
@@ -287,12 +283,10 @@ void ResultCache::insert(const CacheKey& key, CachedResult value) {
     it->second->key = key;
     it->second->value = std::move(shared);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.insertions;
     return;
   }
   shard.lru.push_front(Entry{key, std::move(shared)});
   shard.index[key.hash] = shard.lru.begin();
-  ++shard.insertions;
   while (shard.lru.size() > shard_capacity_) {
     // Cost-aware eviction: among the last few LRU entries, drop the one
     // whose original solve was cheapest to recompute; ties (all-zero costs
@@ -321,9 +315,6 @@ ResultCache::Stats ResultCache::stats() const {
   Stats s;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    s.hits += shard.hits;
-    s.misses += shard.misses;
-    s.insertions += shard.insertions;
     s.evictions += shard.evictions;
     s.entries += shard.lru.size();
   }

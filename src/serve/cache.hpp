@@ -16,6 +16,8 @@
 /// independent mutex + LRU list + hash map, so concurrent hits on
 /// different shards never contend. Entries are handed out as
 /// shared_ptr<const CachedResult> — eviction never invalidates a reader.
+/// The cache counts only what the server cannot see: occupancy and
+/// evictions (Stats); hits and misses are Server::counters().
 ///
 /// PersistentStore is an append-only JSONL file: one header line carrying
 /// the canonical-format and code versions, then one {"key","result"} line
@@ -116,9 +118,6 @@ class ResultCache {
   void insert(const CacheKey& key, CachedResult value);
 
   struct Stats {
-    long hits = 0;
-    long misses = 0;
-    long insertions = 0;
     long evictions = 0;
     std::size_t entries = 0;
   };
@@ -134,9 +133,6 @@ class ResultCache {
     mutable std::mutex mutex;
     std::list<Entry> lru;  ///< front = most recently used
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    long hits = 0;
-    long misses = 0;
-    long insertions = 0;
     long evictions = 0;
   };
 

@@ -227,10 +227,6 @@ ServeResponse Server::respond(const ServeRequest& request,
   const Timer t_permute;
   const synth::SynthesisResult result = to_result(value, canon, model.paths);
   resp.result = io::result_to_json(model.topology, request.spec, result);
-  // Per-response documents must not embed the process-global metrics
-  // snapshot (it is unbounded and differs between fresh and cached paths —
-  // the differential guarantee is on the synthesis payload).
-  if (resp.result.is_object()) resp.result.as_object().erase("metrics");
   timing.permute_us = elapsed_us(t_permute);
   observe_latency_us("serve.stage.permute_us", timing.permute_us);
   resp.wall_us = t0.seconds() * 1e6;
@@ -253,9 +249,19 @@ ServeResponse Server::handle(const ServeRequest& request) {
   obs::TraceSpan span("serve.handle",
                       [seq] { return cat("serve.req#", seq); });
 
+  // The request's own budget, from entry: it bounds its solve as a leader
+  // and its wait as a follower.
+  const support::Deadline deadline = support::Deadline::after(
+      request.time_limit_s > 0 ? request.time_limit_s
+                               : options_.default_time_limit_s);
+
   ServeResponse resp;
   resp.id = request.id;
   const auto finish = [&](ServeOutcome outcome, std::string error) {
+    if (outcome == ServeOutcome::kTimeout) {
+      counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
+      count("serve.timeouts");
+    }
     resp.outcome = outcome;
     resp.error = std::move(error);
     resp.wall_us = t0.seconds() * 1e6;
@@ -299,92 +305,111 @@ ServeResponse Server::handle(const ServeRequest& request) {
     if (entry && !fits(*entry, canon, model)) entry.reset();
     return entry;
   };
-  t_stage = Timer{};
-  auto hit = probe();
-  timing.cache_probe_us = elapsed_us(t_stage);
-  observe_latency_us("serve.stage.cache_probe_us", timing.cache_probe_us);
-  if (hit) {
-    if (hit->infeasible) return replay_negative();
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
-    count("serve.hits");
-    return respond(request, canon, model, *hit, t0, /*cached=*/true,
-                   /*coalesced=*/false, timing);
-  }
-
   // Coalescing rides on the cache: the no-cache baseline (capacity 0) must
   // not share solves either, or it would not be a baseline.
   const bool coalesce = cache_.capacity() > 0;
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    if (coalesce) {
-      // A flight may have completed (and committed) between the lookup
-      // above and taking this lock; re-check so we never re-solve.
-      if (auto racy_hit = probe()) {
-        if (racy_hit->infeasible) return replay_negative();
-        counters_.hits.fetch_add(1, std::memory_order_relaxed);
-        count("serve.hits");
-        return respond(request, canon, model, *racy_hit, t0, true, false,
-                       timing);
-      }
-      if (const auto it = flights_.find(canon.key.text);
-          it != flights_.end()) {
-        flight = it->second;
-      }
+  // One pass per shared solve: a follower whose solve ended on the
+  // leader's budget (see Flight::budget_spent) comes back here while it
+  // has budget of its own left, and is handled again as a new request.
+  for (;;) {
+    t_stage = Timer{};
+    auto hit = probe();
+    timing.cache_probe_us = elapsed_us(t_stage);
+    observe_latency_us("serve.stage.cache_probe_us", timing.cache_probe_us);
+    if (hit) {
+      if (hit->infeasible) return replay_negative();
+      counters_.hits.fetch_add(1, std::memory_order_relaxed);
+      count("serve.hits");
+      return respond(request, canon, model, *hit, t0, /*cached=*/true,
+                     /*coalesced=*/false, timing);
     }
-    if (flight == nullptr) {
-      flight = std::make_shared<Flight>();
-      flight->spec = request.spec;
-      flight->canon = canon;
-      flight->leader_seq = seq;
-      const double limit = request.time_limit_s > 0
-                               ? request.time_limit_s
-                               : options_.default_time_limit_s;
-      flight->deadline = support::Deadline::after(limit);
-      if (!queue_.try_push(flight)) {
-        counters_.rejected_queue.fetch_add(1, std::memory_order_relaxed);
-        count("serve.rejected");
-        return finish(ServeOutcome::kRejected,
-                      "admission queue full (server overloaded)");
-      }
-      set_gauge("serve.queue_depth", static_cast<double>(queue_.size()));
-      leader = true;
-      if (coalesce) flights_[canon.key.text] = flight;
-    }
-  }
-  if (leader) {
-    counters_.misses.fetch_add(1, std::memory_order_relaxed);
-    count("serve.misses");
-  } else {
-    counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
-    count("serve.coalesced");
-    // The follower's link to the solve span it rides on.
-    if (obs::trace_enabled()) {
-      obs::trace_instant("serve.coalesced",
-                         {{"seq", json::Value{seq}},
-                          {"leader_seq", json::Value{flight->leader_seq}}});
-    }
-  }
 
-  {
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    flight->cv.wait(lock, [&] { return flight->done; });
+    std::shared_ptr<Flight> flight;
+    bool leader = false;
+    {
+      std::lock_guard<std::mutex> lock(flights_mutex_);
+      if (coalesce) {
+        // A flight may have completed (and committed) between the lookup
+        // above and taking this lock; re-check so we never re-solve.
+        if (auto racy_hit = probe()) {
+          if (racy_hit->infeasible) return replay_negative();
+          counters_.hits.fetch_add(1, std::memory_order_relaxed);
+          count("serve.hits");
+          return respond(request, canon, model, *racy_hit, t0, true, false,
+                         timing);
+        }
+        if (const auto it = flights_.find(canon.key.text);
+            it != flights_.end()) {
+          flight = it->second;
+        }
+      }
+      if (flight == nullptr) {
+        flight = std::make_shared<Flight>();
+        flight->spec = request.spec;
+        flight->canon = canon;
+        flight->leader_seq = seq;
+        flight->deadline = deadline;
+        if (!queue_.try_push(flight)) {
+          counters_.rejected_queue.fetch_add(1, std::memory_order_relaxed);
+          count("serve.rejected");
+          return finish(ServeOutcome::kRejected,
+                        "admission queue full (server overloaded)");
+        }
+        set_gauge("serve.queue_depth", static_cast<double>(queue_.size()));
+        leader = true;
+        if (coalesce) flights_[canon.key.text] = flight;
+      }
+    }
+    if (leader) {
+      counters_.misses.fetch_add(1, std::memory_order_relaxed);
+      count("serve.misses");
+    } else {
+      counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
+      count("serve.coalesced");
+      // The follower's link to the solve span it rides on.
+      if (obs::trace_enabled()) {
+        obs::trace_instant("serve.coalesced",
+                           {{"seq", json::Value{seq}},
+                            {"leader_seq", json::Value{flight->leader_seq}}});
+      }
+    }
+
+    // The leader's flight carries the leader's own deadline, which bounds
+    // its solve; a follower waits at most its own remaining budget.
+    bool done = true;
+    {
+      std::unique_lock<std::mutex> lock(flight->mutex);
+      const auto settled = [&] { return flight->done; };
+      if (leader || !deadline.limited()) {
+        flight->cv.wait(lock, settled);
+      } else {
+        done = flight->cv.wait_until(lock, deadline.expiry(), settled);
+      }
+    }
+    if (!leader && done && flight->budget_spent && !deadline.expired()) {
+      continue;
+    }
+    timing.leader_seq = flight->leader_seq;
+    if (!done) {
+      on_deadline_blown();
+      resp.coalesced = true;
+      return finish(ServeOutcome::kTimeout,
+                    "deadline expired while waiting for a shared solve");
+    }
+    // Shared solve facts: the leader and every coalesced follower report
+    // the SAME queue-wait/solve times (that is the solve that answered
+    // them) and the leader's seq as the link.
+    timing.queue_wait_us = flight->queue_wait_us;
+    timing.solve_us = flight->solve_us;
+    if (flight->outcome == ServeOutcome::kOk) {
+      // Every waiter rehydrates through its OWN canonical permutations, so
+      // a relabeled duplicate gets the answer in its labeling.
+      return respond(request, canon, model, *flight->value, t0,
+                     /*cached=*/false, /*coalesced=*/!leader, timing);
+    }
+    resp.coalesced = !leader;
+    return finish(flight->outcome, flight->error);
   }
-  // Shared solve facts: the leader and every coalesced follower report the
-  // SAME queue-wait/solve times (that is the solve that answered them) and
-  // the leader's seq as the link.
-  timing.leader_seq = flight->leader_seq;
-  timing.queue_wait_us = flight->queue_wait_us;
-  timing.solve_us = flight->solve_us;
-  if (flight->outcome == ServeOutcome::kOk) {
-    // Every waiter rehydrates through its OWN canonical permutations, so a
-    // relabeled duplicate gets the answer in its labeling.
-    return respond(request, canon, model, *flight->value, t0,
-                   /*cached=*/false, /*coalesced=*/!leader, timing);
-  }
-  resp.coalesced = !leader;
-  return finish(flight->outcome, flight->error);
 }
 
 void Server::worker_loop() {
@@ -392,7 +417,6 @@ void Server::worker_loop() {
     const std::shared_ptr<Flight> flight = std::move(*item);
     set_gauge("serve.queue_depth", static_cast<double>(queue_.size()));
     flight->queue_wait_us = flight->queued_at.seconds() * 1e6;
-    observe_latency_us("serve.queue_wait_us", flight->queue_wait_us);
     observe_latency_us("serve.stage.queue_wait_us", flight->queue_wait_us);
     if (stop_.stop_requested()) {
       publish(flight, ServeOutcome::kRejected, nullptr, "server shutting down");
@@ -402,6 +426,7 @@ void Server::worker_loop() {
       counters_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
       count("serve.rejected_deadline");
       on_deadline_blown();
+      flight->budget_spent = true;
       publish(flight, ServeOutcome::kRejected, nullptr,
               "deadline expired while queued");
       continue;
@@ -466,10 +491,9 @@ void Server::worker_loop() {
         }
       } else if (solved.status().code() == StatusCode::kTimeout) {
         outcome = ServeOutcome::kTimeout;
-        counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
-        count("serve.timeouts");
+        on_deadline_blown();
+        flight->budget_spent = true;
       }
-      if (outcome == ServeOutcome::kTimeout) on_deadline_blown();
       publish(flight, outcome, nullptr, solved.status().message());
     }
   }
@@ -583,7 +607,12 @@ Status Server::run_socket(const std::string& path) {
   }
   listen_fd_.store(fd, std::memory_order_relaxed);
 
-  std::vector<std::thread> connections;
+  // Connection threads by id. A connection that ends leaves its id in
+  // `ended` (guarded by clients_mutex_), and the accept loop joins it
+  // before taking the next connection, so a finished connection does not
+  // keep its thread, and its stack, until shutdown.
+  std::unordered_map<std::thread::id, std::thread> connections;
+  std::vector<std::thread::id> ended;
   while (!stopping_.load(std::memory_order_relaxed)) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) {
@@ -592,11 +621,18 @@ Status Server::run_socket(const std::string& path) {
       }
       break;  // listen fd closed by shutdown()/drain()
     }
+    std::vector<std::thread::id> joinable;
     {
       std::lock_guard<std::mutex> lock(clients_mutex_);
       client_fds_.push_back(client);
+      joinable.swap(ended);
     }
-    connections.emplace_back([this, client] {
+    for (const std::thread::id id : joinable) {
+      const auto it = connections.find(id);
+      it->second.join();
+      connections.erase(it);
+    }
+    std::thread connection([this, client, &ended] {
       std::string pending;
       char chunk[4096];
       ssize_t n;
@@ -623,11 +659,14 @@ Status Server::run_socket(const std::string& path) {
         client_fds_.erase(
             std::remove(client_fds_.begin(), client_fds_.end(), client),
             client_fds_.end());
+        ended.push_back(std::this_thread::get_id());
       }
       ::close(client);
     });
+    const std::thread::id id = connection.get_id();
+    connections.emplace(id, std::move(connection));
   }
-  for (std::thread& t : connections) t.join();
+  for (auto& [id, connection] : connections) connection.join();
   if (const int lfd = listen_fd_.exchange(-1); lfd >= 0) ::close(lfd);
   return Status::Ok();
 }

@@ -11,7 +11,11 @@
 ///  payload does not fit the request (cache.hpp fits(): a hostile or
 ///  stale store entry) counts as a miss, and its fresh answer replaces
 ///  it; 4. coalesce concurrent identical misses onto one in-flight solve
-///  (every waiter shares the result, re-labeled per request); 5. admit the
+///  (every waiter shares the result, re-labeled per request). The solve
+///  runs on its leader's budget; a follower waits at most its own and then
+///  answers timeout, and a follower whose shared solve ended on the
+///  leader's budget (expired while queued, or timed out) is handled again
+///  while it has budget left; 5. admit the
 ///  solve into a bounded queue — a full queue rejects the request instead
 ///  of buffering unboundedly, and a request whose deadline expired while
 ///  queued is rejected when a worker picks it up; 6. workers solve through
@@ -46,12 +50,16 @@
 /// shared. The same stages feed serve.stage.* histograms.
 ///
 /// Observability: serve.* counters (requests, hits, misses, coalesced,
-/// rejected, rejected_deadline, solves, timeouts, deadline_blown) and
-/// queue-wait / stage / end-to-end latency histograms when obs::metrics
-/// are enabled; the same numbers are always available via counters() for
-/// tools that run with metrics off. A request that blows its deadline
-/// triggers an obs::FlightRecorder dump (when one is configured) so the
-/// wedged solve leaves a trail.
+/// rejected, rejected_deadline, solves, timeouts) and the serve.stage.*
+/// and serve.e2e_us latency histograms when obs::metrics are enabled; the
+/// same counts are always available via counters() for tools that run
+/// with metrics off. A request that blows its deadline triggers an
+/// obs::FlightRecorder dump (when one is configured) so the wedged solve
+/// leaves a trail.
+///
+/// run_socket() joins a connection's thread once the connection ends (at
+/// the next accept), so a daemon polled by mlsi_top does not collect one
+/// finished thread per poll.
 
 #include <atomic>
 #include <istream>
@@ -184,7 +192,7 @@ class Server {
     long rejected_queue = 0;
     long rejected_deadline = 0;
     long solves = 0;
-    long timeouts = 0;  ///< solves that ran but blew their deadline
+    long timeouts = 0;  ///< requests answered timeout
     long persist_replayed = 0;
     long negative_hits = 0;  ///< hits that replayed an infeasibility proof
   };
@@ -213,6 +221,10 @@ class Server {
     long leader_seq = 0;        ///< seq of the request that enqueued this
     double queue_wait_us = 0.0; ///< admission -> worker pickup
     double solve_us = 0.0;      ///< synthesize() wall time
+    /// The verdict is the leader's budget, not the problem's: the deadline
+    /// expired while queued, or the solve timed out. A follower with
+    /// budget left is handled again instead of sharing it.
+    bool budget_spent = false;
   };
 
   void worker_loop();

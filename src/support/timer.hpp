@@ -87,6 +87,11 @@ class Deadline {
 
   [[nodiscard]] bool limited() const { return limited_; }
 
+  /// The expiry instant; meaningful only when limited(). Waits take it as
+  /// is (condition_variable::wait_until), so no budget arithmetic can
+  /// overflow near the clock's range.
+  [[nodiscard]] Timer::Clock::time_point expiry() const { return expiry_; }
+
   [[nodiscard]] bool expired() const {
     return limited_ && Timer::Clock::now() >= expiry_;
   }

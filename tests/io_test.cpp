@@ -8,6 +8,7 @@
 #include "arch/crossbar.hpp"
 #include "cases/cases.hpp"
 #include "io/case_io.hpp"
+#include "obs/metrics.hpp"
 #include "support/strings.hpp"
 #include "io/report.hpp"
 #include "io/svg.hpp"
@@ -184,6 +185,30 @@ TEST(ResultJsonTest, ContainsHeadlineNumbers) {
             static_cast<std::size_t>(result->num_valves()));
   // Serialized document parses back.
   EXPECT_TRUE(json::parse(doc.dump(2)).ok());
+}
+
+// A result document is its result alone: the process metrics snapshot
+// goes only where --metrics-out writes it, so switching metrics on changes
+// nothing in the document (schema v6).
+TEST(ResultJsonTest, DocumentIsTheSameWithMetricsOnOrOff) {
+  const ProblemSpec spec = cases::kinase_sw1(BindingPolicy::kFixed);
+  synth::Synthesizer syn(spec);
+  const auto result = syn.synthesize();
+  ASSERT_TRUE(result.ok());
+  const json::Value off = result_to_json(syn.topology(), spec, *result);
+
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.enable();
+  metrics.counter("io_test.marker").add();
+  const json::Value on = result_to_json(syn.topology(), spec, *result);
+  metrics.disable();
+  metrics.reset();
+
+  EXPECT_EQ(on.dump(), off.dump());
+  for (const json::Value* doc : {&off, &on}) {
+    EXPECT_EQ(doc->find("metrics"), nullptr);
+    EXPECT_EQ(doc->get_int("version", -1), 6);
+  }
 }
 
 TEST(TextTableTest, AlignsColumns) {

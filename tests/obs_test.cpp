@@ -1,6 +1,7 @@
 // Tests for the observability layer: tracer span nesting and serialization,
 // instant args, metrics instruments (bucket edges and quantile estimation in
-// particular), flight-recorder rings fed by spans (wraparound, crash dump),
+// particular), series bounds, flight-recorder rings fed by spans
+// (wraparound, reuse after thread exit, crash dump),
 // concurrent emission, and the allocation-free disabled path.
 
 #include <atomic>
@@ -314,6 +315,26 @@ TEST_F(ObsTest, SeriesTracksLastValue) {
   EXPECT_LE(s.points()[0].first, s.points()[1].first);
 }
 
+TEST_F(ObsTest, SeriesKeepsItsMostRecentPoints) {
+  Series& s = metrics().series("test.capped");
+  constexpr std::size_t kExtra = 100;
+  for (std::size_t i = 0; i < Series::kMaxPoints + kExtra; ++i) {
+    s.record_at(static_cast<double>(i), static_cast<double>(i));
+  }
+  const auto points = s.points();
+  ASSERT_EQ(points.size(), Series::kMaxPoints);
+  std::size_t out_of_place = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto expected = static_cast<double>(kExtra + i);
+    if (points[i].first != expected || points[i].second != expected) {
+      ++out_of_place;
+    }
+  }
+  EXPECT_EQ(out_of_place, 0u) << "the last kMaxPoints points, in order";
+  EXPECT_EQ(s.last_value(),
+            static_cast<double>(Series::kMaxPoints + kExtra - 1));
+}
+
 TEST_F(ObsTest, InstantArgsBecomeChromeArgsObject) {
   Tracer::instance().enable();
   trace_instant("milp.incumbent", {{"obj", json::Value{12.5}},
@@ -466,6 +487,36 @@ TEST_F(ObsTest, FlightRecorderSanitizesAndTruncatesNames) {
   EXPECT_EQ(names[1], "bad_name_with_control");
   EXPECT_EQ(names[2], std::string(sizeof(FrRecord{}.name) - 1, 'x'));
   EXPECT_EQ(names[3], names[2]);
+}
+
+TEST_F(ObsTest, FlightRecorderReusesTheRingsOfExitedThreads) {
+  // A thread hands its ring back when it exits, so a process that keeps
+  // starting threads (one per socket connection, a pool per split solve)
+  // keeps recording long after kMaxThreads of them have come and gone.
+  FlightRecorder& rec = FlightRecorder::instance();
+  rec.enable();
+  constexpr int kThreads = 200;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      const std::string name = cat("reuse.t", i);
+      TraceSpan span(name.c_str());
+    }).join();
+  }
+  rec.disable();
+
+  const std::string path = ::testing::TempDir() + "obs_fr_reuse.jsonl";
+  ASSERT_TRUE(rec.dump(path).ok());
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  const std::string last = cat("reuse.t", kThreads - 1);
+  std::size_t last_records = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    const auto doc = json::parse(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    if (doc->find("name")->as_string() == last) ++last_records;
+  }
+  EXPECT_EQ(last_records, 2u) << "the last thread's 'B' and 'E'";
 }
 
 #if !defined(MLSI_TSAN)

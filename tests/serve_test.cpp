@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -19,10 +20,12 @@
 #include <unistd.h>
 
 #include "cases/artificial.hpp"
+#include "cases/cases.hpp"
 #include "obs/flight_rec.hpp"
 #include "io/case_io.hpp"
 #include "serve/cache.hpp"
 #include "serve/canonical.hpp"
+#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
 #include "support/json.hpp"
@@ -65,7 +68,6 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyUsed) {
   const ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(stats.insertions, 3);
 }
 
 TEST(ResultCacheTest, CostAwareEvictionKeepsExpensiveEntries) {
@@ -688,6 +690,129 @@ TEST(ServerTest, DeadlineBlownRequestDumpsFlightRecorder) {
   EXPECT_GT(records, 0u);
   EXPECT_TRUE(saw_handle) << "dump should show the request being handled";
   rec.reset();
+  std::remove(path.c_str());
+}
+
+/// Polls until \p holds is true. The coalescing tests below order their
+/// requests by the server's own counters, not by sleeps.
+template <typename Pred>
+void wait_until(Pred holds) {
+  while (!holds()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+/// One solver worker, and a solve that keeps it busy: ChIP sw.2 clockwise,
+/// searched serially, takes hundreds of milliseconds.
+ServeOptions one_worker_options() {
+  ServeOptions options = quiet_options();
+  options.jobs = 1;
+  options.synth.engine_params.jobs = 1;
+  return options;
+}
+
+ServeRequest request(std::string id, synth::ProblemSpec spec,
+                     double time_limit_s) {
+  ServeRequest req;
+  req.id = std::move(id);
+  req.spec = std::move(spec);
+  req.time_limit_s = time_limit_s;
+  return req;
+}
+
+ServeRequest long_request(std::string id, double time_limit_s) {
+  return request(std::move(id),
+                 cases::chip_sw2(synth::BindingPolicy::kClockwise),
+                 time_limit_s);
+}
+
+// A shared solve that ends on its leader's budget does not end the
+// followers that still have budget: the leader here expires while queued
+// behind a long solve, and its 100-s follower is solved afresh.
+TEST(ServerTest, FollowerOutlivesALeaderThatExpiredWhileQueued) {
+  Server server(one_worker_options());
+  ServeResponse busy;
+  std::thread busy_client(
+      [&] { busy = server.handle(long_request("busy", 100)); });
+  wait_until([&] { return server.counters().solves == 1; });
+
+  ServeResponse leader;
+  std::thread leader_client(
+      [&] { leader = server.handle(request("short", demo_spec(), 0.02)); });
+  wait_until([&] { return server.counters().misses == 2; });
+  const ServeResponse follower =
+      server.handle(request("long", demo_spec(), 100));
+  leader_client.join();
+  busy_client.join();
+
+  EXPECT_EQ(busy.outcome, ServeOutcome::kOk) << busy.error;
+  EXPECT_EQ(leader.outcome, ServeOutcome::kRejected);
+  EXPECT_EQ(leader.error, "deadline expired while queued");
+  EXPECT_EQ(follower.outcome, ServeOutcome::kOk) << follower.error;
+  EXPECT_FALSE(follower.coalesced) << "answered by its own solve";
+  const Server::Counters c = server.counters();
+  EXPECT_EQ(c.requests, 3) << "a request handled again counts once";
+  EXPECT_EQ(c.coalesced, 1);
+  EXPECT_EQ(c.rejected_deadline, 1);
+  EXPECT_EQ(c.solves, 2);
+}
+
+// A follower waits for a shared solve at most its own budget: a short
+// request does not live on a long leader's.
+TEST(ServerTest, FollowerWaitsAtMostItsOwnBudget) {
+  Server server(one_worker_options());
+  ServeResponse leader;
+  std::thread leader_client(
+      [&] { leader = server.handle(long_request("long", 100)); });
+  wait_until([&] { return server.counters().solves == 1; });
+  const ServeResponse follower = server.handle(long_request("short", 0.05));
+  leader_client.join();
+
+  EXPECT_EQ(follower.outcome, ServeOutcome::kTimeout) << follower.error;
+  EXPECT_TRUE(follower.coalesced);
+  EXPECT_EQ(leader.outcome, ServeOutcome::kOk) << leader.error;
+  const Server::Counters c = server.counters();
+  EXPECT_EQ(c.timeouts, 1);
+  EXPECT_EQ(c.solves, 1);
+}
+
+/// Virtual memory size of this process in kB, from /proc/self/status.
+long vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// A finished connection gives its thread back: a daemon polled by mlsi_top
+// takes one connection per poll, and a thread left unjoined until
+// shutdown keeps its 8 MB stack mapped (about 2.4 GB for these 300).
+TEST(ServerTest, SocketConnectionsReleaseTheirThreads) {
+  const std::string path = ::testing::TempDir() + "serve_conn." +
+                           std::to_string(::getpid()) + ".sock";
+  Server server(quiet_options());
+  Status served = Status::Ok();
+  std::thread listener([&] { served = server.run_socket(path); });
+  const auto stats_connection = [&path] {
+    Result<SocketClient> client = SocketClient::connect(path);
+    while (!client.ok()) {  // until the listener is up
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      client = SocketClient::connect(path);
+    }
+    ASSERT_TRUE(client->send_line(R"({"id":"s","cmd":"stats"})").ok());
+    const Result<std::string> reply = client->recv_line();
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    EXPECT_NE(reply->find("\"stats\""), std::string::npos) << *reply;
+  };
+
+  stats_connection();
+  const long before_kb = vm_size_kb();
+  for (int i = 0; i < 300; ++i) stats_connection();
+  const long grown_mb = (vm_size_kb() - before_kb) / 1024;
+  server.shutdown();
+  listener.join();
+
+  EXPECT_TRUE(served.ok()) << served.to_string();
+  EXPECT_LT(grown_mb, 256);
   std::remove(path.c_str());
 }
 
