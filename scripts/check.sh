@@ -7,11 +7,12 @@
 # daemon + serve_throughput client load + mlsi_top + a clockwise split
 # request + SIGTERM drain, all obs artifacts validated), a bench wall-time
 # regression guard against the committed summary, the LP/MILP tests, the
-# obs flight recorder and the input boundaries (case JSON, serve request
-# lines, the persistent store; hostile cases and the mutation fuzz) again
-# under AddressSanitizer + UBSan (the sparse LU and eta-file code is
+# obs flight recorder, the input boundaries (case JSON, serve request
+# lines, the persistent store; hostile cases and the mutation fuzz) and the
+# cp search's per-depth buffers and path vertex masks again under
+# AddressSanitizer + UBSan (the sparse LU and eta-file code is
 # pointer-heavy; the recorder's dump path formats into fixed buffers; the
-# parsers take hostile bytes),
+# parsers take hostile bytes; the node loop indexes flat arrays),
 # and the concurrency tests (thread pool, stop tokens, the cp engine's
 # clockwise first-pin split, the shared switch-model map, serve
 # cache/coalescing, obs emission, metrics snapshots under mutation) again
@@ -164,7 +165,7 @@ fi
 cmake -B build-asan -S . -DMLSI_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
     --target opt_simplex_test opt_cuts_test opt_milp_test obs_test io_test \
-    serve_test fuzz_boundaries_test
+    serve_test fuzz_boundaries_test cp_search_test arch_paths_test
 build-asan/tests/opt_simplex_test
 build-asan/tests/opt_cuts_test
 build-asan/tests/opt_milp_test
@@ -180,6 +181,12 @@ build-asan/tests/io_test
 build-asan/tests/serve_test \
     --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*:ServerTest.Socket*'
 build-asan/tests/fuzz_boundaries_test
+# The cp node loop under ASan/UBSan: per-depth candidate, claimed-vertex
+# and conflict-mask buffers, and vertex masks of one word (crossbars) and
+# of two (the 69-vertex GRU chain), over the 200-instance parity fuzz.
+build-asan/tests/arch_paths_test
+build-asan/tests/cp_search_test \
+    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:LearningDeterminismTest.*:WideMaskTest.*'
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \

@@ -128,12 +128,19 @@ PathSet::PathSet(const SwitchTopology* topo, std::vector<Path> paths)
     : topo_(topo), paths_(std::move(paths)) {
   const int n_pins = topo_->num_pins();
   by_pair_.resize(static_cast<std::size_t>(n_pins) * static_cast<std::size_t>(n_pins));
+  mask_words_ = (topo_->num_vertices() + 63) / 64;
+  const auto words = static_cast<std::size_t>(mask_words_);
+  masks_.assign(paths_.size() * words, 0);
   for (Path& p : paths_) {
     p.id = static_cast<int>(&p - paths_.data());
     p.vertex_set = p.vertices;
     std::sort(p.vertex_set.begin(), p.vertex_set.end());
     p.segment_set = p.segments;
     std::sort(p.segment_set.begin(), p.segment_set.end());
+    std::uint64_t* mask = masks_.data() + static_cast<std::size_t>(p.id) * words;
+    for (const int v : p.vertices) {
+      mask[static_cast<std::size_t>(v) / 64] |= std::uint64_t{1} << (v % 64);
+    }
     const int fi = topo_->pin_index(p.from_pin);
     const int ti = topo_->pin_index(p.to_pin);
     MLSI_ASSERT(fi >= 0 && ti >= 0, "path endpoints must be pins");

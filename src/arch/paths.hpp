@@ -14,7 +14,14 @@
 /// their verified symmetries — depends only on the switch size and the path
 /// options, so switch_model() builds each one once per process and every
 /// caller (Synthesizer, the serving layer) shares it.
+///
+/// A PathSet also holds one vertex bitmask per path, built with the set:
+/// mask_words() 64-bit words per path (one on every crossbar, which has at
+/// most 41 vertices), so a search tests two paths for a shared vertex with
+/// one AND per word.
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/symmetry.hpp"
@@ -31,7 +38,9 @@ struct Path {
   std::vector<int> segments;  ///< in order, vertices.size() - 1 entries
   double length_um = 0.0;
 
-  /// Sorted copies for O(log) membership tests.
+  /// Sorted copies for O(log) membership tests (the IQP model's
+  /// uses_vertex()); the CP search tests paths against each other with
+  /// PathSet::vertex_mask() instead.
   std::vector<int> vertex_set;
   std::vector<int> segment_set;
 
@@ -51,7 +60,8 @@ struct PathEnumOptions {
 /// All candidate paths of a topology.
 class PathSet {
  public:
-  /// Indexes \p paths and verifies the pin symmetries of (topology, paths).
+  /// Indexes \p paths, builds their vertex masks and verifies the pin
+  /// symmetries of (topology, paths).
   PathSet(const SwitchTopology* topo, std::vector<Path> paths);
 
   [[nodiscard]] const SwitchTopology& topology() const { return *topo_; }
@@ -61,6 +71,16 @@ class PathSet {
 
   /// Path ids for the ordered pair (from_pin, to_pin), shortest first.
   [[nodiscard]] const std::vector<int>& between(int from_pin, int to_pin) const;
+
+  /// Words per vertex mask: ceil(num_vertices / 64).
+  [[nodiscard]] int mask_words() const { return mask_words_; }
+  /// Path \p id's vertex mask, mask_words() words: bit v % 64 of word v / 64
+  /// is set exactly when the path visits vertex v.
+  [[nodiscard]] std::span<const std::uint64_t> vertex_mask(int id) const {
+    return {masks_.data() + static_cast<std::size_t>(id) *
+                                static_cast<std::size_t>(mask_words_),
+            static_cast<std::size_t>(mask_words_)};
+  }
 
   /// The plane symmetries that map the topology and this path set onto
   /// themselves, verified once at construction (symmetry.hpp).
@@ -74,6 +94,8 @@ class PathSet {
   // Indexed by from_pin_index * num_pins + to_pin_index.
   std::vector<std::vector<int>> by_pair_;
   std::vector<int> empty_;
+  int mask_words_ = 1;
+  std::vector<std::uint64_t> masks_;  ///< mask_words_ words per path, by id
   PinSymmetries symmetries_;
 };
 

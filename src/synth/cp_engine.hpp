@@ -26,9 +26,13 @@
 ///  * binding is injective (3.9, 3.10).
 ///
 /// Bound: alpha * sets_used + beta * union_length is monotone along a dive,
-/// so partial costs prune against the incumbent. Candidate paths are tried
-/// by added-union-length, sets lowest-first — the first dive is the greedy
-/// solution and gives a strong early incumbent.
+/// so partial costs plus an admissible suffix bound (the pin stubs still to
+/// be wetted) prune against the incumbent. Candidate paths are tried by
+/// added-union-length, sets lowest-first — the first dive is the greedy
+/// solution and gives a strong early incumbent. Because of that order, the
+/// first candidate whose cheapest set choice fails the bound ends its
+/// candidate loop: every later (path, set) pair bounds at least as high
+/// (alpha, beta >= 0), so the exit skips only placements that would fail.
 ///
 /// The search itself lives in cp_search.hpp. EngineParams::cp_symmetry is
 /// its only tuning knob; off, the unfixed search enumerates the full

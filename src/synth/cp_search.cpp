@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -29,6 +31,23 @@ constexpr long kMaxNodes = 500'000'000;
 /// explore 5,159 to 46,110.
 constexpr long kSplitMinNodes = 4096;
 
+/// Why the search cut what it cut, tallied per search state and summed over
+/// the split's subtrees. Reported as args of the cp.done trace instant.
+struct PruneTally {
+  long bound = 0;     ///< placements the bound rejects
+  long breaks = 0;    ///< candidate loops the early exit cuts
+  long owner = 0;     ///< placements the collision rule rejects
+  long conflict = 0;  ///< candidate paths the contamination rule drops
+
+  PruneTally& operator+=(const PruneTally& o) {
+    bound += o.bound;
+    breaks += o.breaks;
+    owner += o.owner;
+    conflict += o.conflict;
+    return *this;
+  }
+};
+
 class CpSearch {
  public:
   CpSearch(const arch::SwitchTopology& topo, const arch::PathSet& paths,
@@ -52,9 +71,14 @@ class CpSearch {
   void split_first_pins(int jobs);
   void enumerate_clockwise(std::vector<int>& pin_of_order, int order_pos);
   void dfs(int pos);
-  /// Applies the placement and descends, unless it is pruned first (owner
-  /// clash or bound).
-  void place_and_recurse(int pos, int flow, const arch::Path& path, int set);
+  /// Tries the candidate paths between pins \p sp and \p dp for the flow at
+  /// \p pos, cheapest added length first. \p forbid is the union of the
+  /// vertex masks of the flow's conflicting earlier flows, or null.
+  void route(int pos, int flow, int sp, int dp, const std::uint64_t* forbid);
+  /// Applies the placement and descends, unless it is pruned first (bound or
+  /// owner clash). \p added_um is the union length \p path adds.
+  void place_and_recurse(int pos, int flow, const arch::Path& path,
+                         double added_um, int set);
 
   [[nodiscard]] double union_len_mm() const { return union_len_um_ / 1000.0; }
   [[nodiscard]] double partial_cost(int sets) const {
@@ -70,6 +94,18 @@ class CpSearch {
   }
   /// Added union length (um) if \p path were placed now.
   [[nodiscard]] double added_length_um(const arch::Path& path) const;
+  /// Lower bound on every completion once the flow at \p pos is placed on a
+  /// path adding \p added_um with \p sets flow sets in use. The early exit
+  /// and the per-placement check both call this, so equal arguments give
+  /// bit-identical bounds.
+  [[nodiscard]] double placement_bound(int pos, double added_um,
+                                       int sets) const {
+    return spec_.alpha * sets +
+           spec_.beta *
+               (union_len_um_ + added_um +
+                suffix_bound_um_[static_cast<std::size_t>(pos + 1)]) /
+               1000.0;
+  }
 
   void record_incumbent();
 
@@ -105,6 +141,16 @@ class CpSearch {
   std::vector<std::vector<int>> owner_;  ///< [set][vertex] inlet module or -1
   std::vector<char> path_used_;
 
+  // Per-depth buffers, sized in prepare(): the node at order position pos
+  // owns slice pos of each, so a node allocates nothing.
+  std::size_t max_candidates_ = 0;  ///< most candidate paths of any pin pair
+  std::size_t mask_words_ = 1;      ///< PathSet::mask_words()
+  std::size_t num_vertices_ = 0;
+  /// (added length um, path id), kept sorted by added length.
+  std::vector<std::pair<double, int>> candidates_;
+  std::vector<std::uint64_t> forbid_;  ///< OR of conflicting flows' masks
+  std::vector<int> owned_;             ///< vertices a placement newly claimed
+
   /// Pin indices the first binding may use (every pin is free then).
   std::vector<int> first_pins_;
 
@@ -119,6 +165,7 @@ class CpSearch {
   int best_sets_used_ = 0;
 
   long nodes_ = 0;
+  PruneTally tally_;
   bool truncated_ = false;
 };
 
@@ -163,6 +210,18 @@ void CpSearch::prepare() {
   owner_.assign(static_cast<std::size_t>(max_sets_),
                 std::vector<int>(static_cast<std::size_t>(topo_.num_vertices()), -1));
   path_used_.assign(static_cast<std::size_t>(paths_.size()), 0);
+
+  max_candidates_ = 0;
+  for (const int from : topo_.pins_clockwise()) {
+    for (const int to : topo_.pins_clockwise()) {
+      max_candidates_ = std::max(max_candidates_, paths_.between(from, to).size());
+    }
+  }
+  mask_words_ = static_cast<std::size_t>(paths_.mask_words());
+  num_vertices_ = static_cast<std::size_t>(topo_.num_vertices());
+  candidates_.resize(flow_order_.size() * max_candidates_);
+  forbid_.resize(flow_order_.size() * mask_words_);
+  owned_.resize(flow_order_.size() * num_vertices_);
 
   // Symmetry breaking (unfixed policy): the first binding ranges over one
   // pin per orbit of the path set's verified symmetries (arch/symmetry.hpp)
@@ -256,38 +315,39 @@ void CpSearch::record_incumbent() {
 }
 
 void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
-                                 int set) {
+                                 double added_um, int set) {
+  // Bound check with this placement applied plus the suffix length bound.
+  const int new_sets = std::max(sets_used_, set + 1);
+  if (placement_bound(pos, added_um, new_sets) >= best_obj_ - kObjEps) {
+    ++tally_.bound;
+    return;
+  }
+
   // Collision/scheduling rule: within a set, every vertex belongs to at
   // most one inlet module.
   const int src = spec_.flows[static_cast<std::size_t>(flow)].src_module;
   auto& owners = owner_[static_cast<std::size_t>(set)];
   for (const int v : path.vertices) {
     const int o = owners[static_cast<std::size_t>(v)];
-    if (o != -1 && o != src) return;
+    if (o != -1 && o != src) {
+      ++tally_.owner;
+      return;
+    }
   }
 
-  // Bound check with this placement applied plus the suffix length bound.
-  const double new_len_um = union_len_um_ + added_length_um(path);
-  const int new_sets = std::max(sets_used_, set + 1);
-  const double lb =
-      spec_.alpha * new_sets +
-      spec_.beta *
-          (new_len_um + suffix_bound_um_[static_cast<std::size_t>(pos + 1)]) /
-          1000.0;
-  if (lb >= best_obj_ - kObjEps) return;
-
   // Apply.
-  std::vector<int> owned;  // vertices newly claimed (for undo)
+  int* owned = owned_.data() + static_cast<std::size_t>(pos) * num_vertices_;
+  int num_owned = 0;  // vertices newly claimed (for undo)
   for (const int v : path.vertices) {
     if (owners[static_cast<std::size_t>(v)] == -1) {
       owners[static_cast<std::size_t>(v)] = src;
-      owned.push_back(v);
+      owned[num_owned++] = v;
     }
   }
   for (const int s : path.segments) ++seg_count_[static_cast<std::size_t>(s)];
   const double saved_len = union_len_um_;
   const int saved_sets = sets_used_;
-  union_len_um_ = new_len_um;
+  union_len_um_ = union_len_um_ + added_um;
   sets_used_ = new_sets;
   path_used_[static_cast<std::size_t>(path.id)] = 1;
   chosen_path_[static_cast<std::size_t>(pos)] = path.id;
@@ -302,7 +362,60 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
   union_len_um_ = saved_len;
   sets_used_ = saved_sets;
   for (const int s : path.segments) --seg_count_[static_cast<std::size_t>(s)];
-  for (const int v : owned) owners[static_cast<std::size_t>(v)] = -1;
+  for (int i = 0; i < num_owned; ++i) owners[static_cast<std::size_t>(owned[i])] = -1;
+}
+
+void CpSearch::route(int pos, int flow, int sp, int dp,
+                     const std::uint64_t* forbid) {
+  const int src_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(sp)];
+  const int dst_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(dp)];
+
+  // Order candidate paths by the union length they would add: the
+  // greedy-first dive produces a strong early incumbent. The insertion
+  // sort is stable: equal lengths keep their between() order.
+  std::pair<double, int>* ordered =
+      candidates_.data() + static_cast<std::size_t>(pos) * max_candidates_;
+  int count = 0;
+  for (const int pid : paths_.between(src_vertex, dst_vertex)) {
+    if (path_used_[static_cast<std::size_t>(pid)] != 0) continue;
+    // Contamination rule: conflicting reagents never share a vertex.
+    if (forbid != nullptr) {
+      const std::span<const std::uint64_t> mask = paths_.vertex_mask(pid);
+      std::uint64_t shared = 0;
+      for (std::size_t w = 0; w < mask_words_; ++w) shared |= mask[w] & forbid[w];
+      if (shared != 0) {
+        ++tally_.conflict;
+        continue;
+      }
+    }
+    const double added = added_length_um(paths_.path(pid));
+    int at = count++;
+    for (; at > 0 && ordered[at - 1].first > added; --at) {
+      ordered[at] = ordered[at - 1];
+    }
+    ordered[at] = {added, pid};
+  }
+
+  const int set_limit = std::min(sets_used_ + 1, max_sets_);
+  for (int i = 0; i < count && !truncated_; ++i) {
+    const auto [added, pid] = ordered[i];
+    // Early exit, exact: set 0 gives the lowest bound any set choice can
+    // (placement_bound with max(sets_used_, 1) sets; a later set only adds
+    // sets), and `ordered` ascends in added length. With alpha, beta >= 0
+    // (ProblemSpec::validate) and IEEE +, * and / by 1000 monotone, every
+    // later (path, set) pair bounds at least this high, and best_obj_ never
+    // rises; so each placement skipped here would have returned at
+    // place_and_recurse's bound check without entering dfs.
+    if (placement_bound(pos, added, std::max(sets_used_, 1)) >=
+        best_obj_ - kObjEps) {
+      ++tally_.breaks;
+      break;
+    }
+    const arch::Path& path = paths_.path(pid);
+    for (int set = 0; set < set_limit && !truncated_; ++set) {
+      place_and_recurse(pos, flow, path, added, set);
+    }
+  }
 }
 
 void CpSearch::dfs(int pos) {
@@ -322,107 +435,64 @@ void CpSearch::dfs(int pos) {
   const int flow = flow_order_[static_cast<std::size_t>(pos)];
   const FlowSpec& fs = spec_.flows[static_cast<std::size_t>(flow)];
 
-  // Candidate source pins.
-  std::vector<int> src_pins;
-  const bool src_bound = module_pin_[static_cast<std::size_t>(fs.src_module)] >= 0;
-  if (src_bound) {
-    src_pins.push_back(module_pin_[static_cast<std::size_t>(fs.src_module)]);
-  } else if (bound_modules_ == 0) {
-    src_pins = first_pins_;
-  } else {
-    for (int p = 0; p < num_pins_; ++p) {
-      if (pin_module_[static_cast<std::size_t>(p)] == -1) src_pins.push_back(p);
+  // The paths of the conflicting earlier flows stay fixed below this node,
+  // so their vertex masks are ORed once here.
+  std::uint64_t* forbid = nullptr;
+  for (const int q : conflict_prior_[static_cast<std::size_t>(pos)]) {
+    const int other = chosen_path_[static_cast<std::size_t>(q)];
+    if (other < 0) continue;
+    if (forbid == nullptr) {
+      forbid = forbid_.data() + static_cast<std::size_t>(pos) * mask_words_;
+      std::fill_n(forbid, mask_words_, 0);
     }
+    const std::span<const std::uint64_t> mask = paths_.vertex_mask(other);
+    for (std::size_t w = 0; w < mask_words_; ++w) forbid[w] |= mask[w];
   }
 
-  for (const int sp : src_pins) {
-    if (!src_bound) {
+  // Source pins: the bound one, else the first binding's (every pin is
+  // free then), else every free pin. Destination pins: the bound one, else
+  // every pin still free. Both in pin order.
+  const int src_pin = module_pin_[static_cast<std::size_t>(fs.src_module)];
+  const int dst_pin = module_pin_[static_cast<std::size_t>(fs.dst_module)];
+  const bool first_binding = src_pin < 0 && bound_modules_ == 0;
+  const int num_src = src_pin >= 0    ? 1
+                      : first_binding ? static_cast<int>(first_pins_.size())
+                                      : num_pins_;
+  for (int i = 0; i < num_src && !truncated_; ++i) {
+    const int sp = src_pin >= 0    ? src_pin
+                   : first_binding ? first_pins_[static_cast<std::size_t>(i)]
+                                   : i;
+    if (src_pin < 0) {
+      if (pin_module_[static_cast<std::size_t>(sp)] != -1) continue;
       module_pin_[static_cast<std::size_t>(fs.src_module)] = sp;
       pin_module_[static_cast<std::size_t>(sp)] = fs.src_module;
       ++bound_modules_;
     }
 
-    std::vector<int> dst_pins;
-    const bool dst_bound =
-        module_pin_[static_cast<std::size_t>(fs.dst_module)] >= 0;
-    if (dst_bound) {
-      dst_pins.push_back(module_pin_[static_cast<std::size_t>(fs.dst_module)]);
-    } else {
-      for (int p = 0; p < num_pins_; ++p) {
-        if (pin_module_[static_cast<std::size_t>(p)] == -1) dst_pins.push_back(p);
-      }
-    }
-
-    for (const int dp : dst_pins) {
-      if (!dst_bound) {
+    const int num_dst = dst_pin >= 0 ? 1 : num_pins_;
+    for (int j = 0; j < num_dst && !truncated_; ++j) {
+      const int dp = dst_pin >= 0 ? dst_pin : j;
+      if (dst_pin < 0) {
+        if (pin_module_[static_cast<std::size_t>(dp)] != -1) continue;
         module_pin_[static_cast<std::size_t>(fs.dst_module)] = dp;
         pin_module_[static_cast<std::size_t>(dp)] = fs.dst_module;
         ++bound_modules_;
       }
 
-      const int src_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(sp)];
-      const int dst_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(dp)];
-      const auto& candidates = paths_.between(src_vertex, dst_vertex);
+      route(pos, flow, sp, dp, forbid);
 
-      // Order candidate paths by the union length they would add: the
-      // greedy-first dive produces a strong early incumbent.
-      std::vector<std::pair<double, int>> ordered;
-      ordered.reserve(candidates.size());
-      for (const int pid : candidates) {
-        if (path_used_[static_cast<std::size_t>(pid)] != 0) continue;
-        const arch::Path& path = paths_.path(pid);
-        // Contamination rule: conflicting reagents never share a vertex.
-        bool clash = false;
-        for (const int q : conflict_prior_[static_cast<std::size_t>(pos)]) {
-          const int other = chosen_path_[static_cast<std::size_t>(q)];
-          if (other < 0) continue;
-          const arch::Path& op = paths_.path(other);
-          const auto& a = path.vertex_set;
-          const auto& b = op.vertex_set;
-          for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
-            if (a[i] == b[j]) {
-              clash = true;
-              break;
-            }
-            if (a[i] < b[j]) {
-              ++i;
-            } else {
-              ++j;
-            }
-          }
-          if (clash) break;
-        }
-        if (clash) continue;
-        ordered.emplace_back(added_length_um(path), pid);
-      }
-      std::stable_sort(ordered.begin(), ordered.end(),
-                       [](const auto& a, const auto& b) { return a.first < b.first; });
-
-      for (const auto& [added, pid] : ordered) {
-        (void)added;
-        const arch::Path& path = paths_.path(pid);
-        const int set_limit = std::min(sets_used_ + 1, max_sets_);
-        for (int set = 0; set < set_limit; ++set) {
-          place_and_recurse(pos, flow, path, set);
-          if (truncated_) break;
-        }
-        if (truncated_) break;
-      }
-
-      if (!dst_bound) {
+      if (dst_pin < 0) {
         module_pin_[static_cast<std::size_t>(fs.dst_module)] = -1;
         pin_module_[static_cast<std::size_t>(dp)] = -1;
         --bound_modules_;
       }
-      if (truncated_) break;
     }
 
-    if (!src_bound) {
+    if (src_pin < 0) {
       module_pin_[static_cast<std::size_t>(fs.src_module)] = -1;
       pin_module_[static_cast<std::size_t>(sp)] = -1;
       --bound_modules_;
     }
-    if (truncated_) break;
   }
 }
 
@@ -515,6 +585,7 @@ void CpSearch::split_first_pins(int jobs) {
   for (int p0 = 1; p0 < num_pins_; ++p0) {
     CpSearch& sub = *subtrees[static_cast<std::size_t>(p0)];
     nodes_ += sub.nodes_;
+    tally_ += sub.tally_;
     truncated_ = truncated_ || sub.truncated_;
     if (sub.have_best_ && sub.best_obj_ < best_obj_ - kObjEps) {
       best_obj_ = sub.best_obj_;
@@ -619,7 +690,11 @@ Result<SynthesisResult> CpSearch::run() {
     obs::trace_instant("cp.done",
                        {{"proven", json::Value{out.stats.proven_optimal}},
                         {"nodes", json::Value{nodes_}},
-                        {"obj", json::Value{out.objective}}});
+                        {"obj", json::Value{out.objective}},
+                        {"bound", json::Value{tally_.bound}},
+                        {"breaks", json::Value{tally_.breaks}},
+                        {"owner", json::Value{tally_.owner}},
+                        {"conflict", json::Value{tally_.conflict}}});
   }
   return out;
 }

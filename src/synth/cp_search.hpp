@@ -8,6 +8,17 @@
 /// set; prune with an admissible suffix-length bound against the incumbent.
 /// A dive that exhausts its space within budget has proven its answer.
 ///
+/// The node loop: candidate paths are sorted by added union length, so the
+/// first one whose cheapest set choice fails the bound ends the candidate
+/// loop — exactly, since every later placement would fail it too. The
+/// contamination check ANDs each candidate's PathSet::vertex_mask() with
+/// the OR of the conflicting earlier flows' masks, built once per node.
+/// Candidate lists, conflict masks and undo lists live in per-depth
+/// buffers sized once per search, so a node allocates nothing. The
+/// search tallies why it pruned (bound, early breaks, owner clashes,
+/// conflict clashes) and reports the tallies as args of the cp.done trace
+/// instant.
+///
 /// For the clockwise policy the outer loop runs over the first module's
 /// pin. When EngineParams::jobs resolves to more than one worker and the
 /// first pin's subtree was large, the other first pins are searched on a

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "arch/crossbar.hpp"
+#include "arch/gru.hpp"
 #include "arch/paths.hpp"
 #include "arch/spine.hpp"
 
@@ -113,6 +114,34 @@ TEST(PathsTest, MembershipHelpers) {
   for (const int s : p.segments) EXPECT_TRUE(p.uses_segment(s));
   EXPECT_FALSE(p.uses_vertex(-1));
   EXPECT_FALSE(p.uses_segment(topo.num_segments() + 5));
+}
+
+TEST(PathsTest, VertexMasksHoldExactlyThePathVertices) {
+  // One word per path on the 16-pin crossbar (41 vertices); two on an
+  // 8-unit GRU chain (69 vertices), where pins sit past bit 63.
+  PathEnumOptions slack;
+  slack.slack_um = 800.0;
+  const SwitchTopology crossbar = make_crossbar(4);
+  const SwitchTopology chain = make_gru(8);
+  const struct {
+    const SwitchTopology& topo;
+    PathEnumOptions options;
+    int words;
+  } cases[] = {{crossbar, {}, 1}, {chain, slack, 2}};
+  for (const auto& c : cases) {
+    const PathSet paths = enumerate_paths(c.topo, c.options);
+    ASSERT_EQ(paths.mask_words(), c.words) << c.topo.name();
+    for (const Path& p : paths.paths()) {
+      const auto mask = paths.vertex_mask(p.id);
+      ASSERT_EQ(mask.size(), static_cast<std::size_t>(c.words));
+      for (int v = 0; v < 64 * c.words; ++v) {  // padding bits included
+        const bool bit =
+            ((mask[static_cast<std::size_t>(v) / 64] >> (v % 64)) & 1) != 0;
+        EXPECT_EQ(bit, v < c.topo.num_vertices() && p.uses_vertex(v))
+            << "path " << p.id << " vertex " << v;
+      }
+    }
+  }
 }
 
 TEST(PathsTest, SpineHasUniquePaths) {

@@ -159,9 +159,12 @@ TEST(LearningParityTest, TwoHundredInstancesMatchSeedSearch) {
   // Ground truth for symmetry breaking: across >= 200 randomized instances
   // (all three policies), the default search and the unreduced search over
   // the full binding space must return the same verdict and, when
-  // feasible, the same optimal objective — both proven.
+  // feasible, the same optimal objective — both proven. The default
+  // solves' node total is pinned too (the same at every job count): any
+  // change to pruning moves it.
   int feasible = 0;
   int infeasible = 0;
+  long default_nodes = 0;
   for (int v = 0; v < 200; ++v) {
     const ProblemSpec spec = cases::make_artificial(fuzz_case(v));
     const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
@@ -181,11 +184,13 @@ TEST(LearningParityTest, TwoHundredInstancesMatchSeedSearch) {
     EXPECT_NEAR(reduced->objective, full->objective, 1e-6) << spec.name;
     EXPECT_TRUE(reduced->stats.proven_optimal) << spec.name;
     EXPECT_TRUE(full->stats.proven_optimal) << spec.name;
+    default_nodes += reduced->stats.nodes;
     ++feasible;
   }
   // The sweep must exercise both outcomes to mean anything.
   EXPECT_GT(feasible, 20);
   EXPECT_GT(infeasible, 5);
+  EXPECT_EQ(default_nodes, 634'135);
 }
 
 TEST(LearningParityTest, CrossCheckedAgainstIqp) {
@@ -226,6 +231,36 @@ TEST(LearningParityTest, CrossCheckedAgainstIqp) {
   // The cross-check must compare real verdicts to mean anything: every one
   // of the 8 fixed-policy instances (v = 0, 3, ..., 21) must yield one.
   EXPECT_EQ(compared, 8);
+}
+
+TEST(WideMaskTest, GruChainPastSixtyFourVerticesSolvesAsBefore) {
+  // An 8-unit GRU chain has 69 vertices, so each path's vertex mask takes
+  // two words and the contamination check ANDs both. With 800 um of path
+  // slack every pin pair has up to 16 candidates. The objective and node
+  // count are pinned, so a mask that misplaced a vertex would show as a
+  // different search (arch_paths_test checks every bit of these masks).
+  const arch::SwitchTopology topo = arch::make_gru(8);
+  arch::PathEnumOptions slack;
+  slack.slack_um = 800.0;
+  const arch::PathSet paths = arch::enumerate_paths(topo, slack);
+  ASSERT_EQ(topo.num_vertices(), 69);
+  EXPECT_EQ(paths.mask_words(), 2);
+
+  ProblemSpec spec;
+  spec.name = "gru chain";
+  spec.modules = {"I1", "I2", "I3", "O1", "O2", "O3", "O4", "O5", "O6"};
+  spec.flows = {{0, 3}, {0, 4}, {1, 5}, {1, 6}, {2, 7}, {2, 8}};
+  spec.conflicts = {{0, 2}, {3, 4}};
+  spec.policy = BindingPolicy::kFixed;
+  const int pins[] = {35, 12, 17, 1, 33, 8, 25, 15, 19};
+  for (int m = 0; m < 9; ++m) spec.fixed_binding.push_back({m, pins[m]});
+
+  const auto result = solve_cp(topo, paths, spec, default_params());
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result->stats.proven_optimal);
+  EXPECT_NEAR(result->objective, 1312.9595949289333, 1e-9);
+  EXPECT_EQ(result->num_sets, 1);
+  EXPECT_EQ(result->stats.nodes, 2'740);
 }
 
 TEST(LearningDeterminismTest, RepeatSolvesAreIdentical) {
@@ -382,14 +417,34 @@ TEST(ClockwiseSplitTest, OnlyALargeFirstSubtreeStartsThePool) {
   EXPECT_EQ(spans_of(cases::kinase_sw2(BindingPolicy::kClockwise)), 0);
 }
 
+/// The args of the one cp.done instant in \p trace, or null.
+json::Value done_args(const std::string& trace) {
+  const auto doc = json::parse(trace);
+  if (!doc.ok() || !doc->is_array()) return json::Value{};
+  for (const json::Value& ev : doc->as_array()) {
+    if (ev.get_string("name", "") != "cp.done") continue;
+    const json::Value* args = ev.find("args");
+    return args != nullptr ? *args : json::Value{};
+  }
+  return json::Value{};
+}
+
 TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
   // The CP search reports each improving incumbent and its end as trace
   // instants with their fields under "args"; with the split, incumbents
-  // come from worker threads too.
+  // come from worker threads too. cp.done also says why nodes were pruned,
+  // summed over the split's subtrees: the same tallies as the serial
+  // search, which explores the same 411,497 nodes.
   const ProblemSpec spec = cases::chip_sw2(BindingPolicy::kClockwise);
   const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
   const arch::PathSet paths = arch::enumerate_paths(topo);
   auto& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
+  tracer.disable();
+  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
+  const json::Value serial_done = done_args(tracer.to_json());
   tracer.reset();
   tracer.enable();
   const auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
@@ -398,6 +453,8 @@ TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
   const auto doc = json::parse(tracer.to_json());
   tracer.reset();
   ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  EXPECT_EQ(serial->stats.nodes, 411'497);
+  EXPECT_EQ(result->stats.nodes, 411'497);
 
   int incumbents = 0;
   int done = 0;
@@ -418,6 +475,13 @@ TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
       EXPECT_EQ(args->get_bool("proven", false), result->stats.proven_optimal);
       EXPECT_EQ(args->get_number("nodes", -1), result->stats.nodes);
       EXPECT_NEAR(args->get_number("obj", 0.0), result->objective, 1e-9);
+      for (const char* tally : {"bound", "breaks", "owner", "conflict"}) {
+        ASSERT_NE(args->find(tally), nullptr) << tally;
+        EXPECT_EQ(args->get_number(tally, -1),
+                  serial_done.get_number(tally, -2))
+            << tally;
+      }
+      EXPECT_GT(args->get_number("breaks", 0), 0);
     }
   }
   EXPECT_GE(incumbents, 1);

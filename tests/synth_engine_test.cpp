@@ -231,6 +231,10 @@ struct CaseParam {
   const char* name;
   ProblemSpec (*make)(BindingPolicy);
   BindingPolicy policy;
+  /// CP nodes of the solve; 0: not pinned. Pinned for every unfixed case:
+  /// that search runs serially, so its count is deterministic, and any
+  /// change to pruning moves it.
+  long nodes = 0;
 };
 
 // Without this gtest lists the case as its raw bytes, pointers included,
@@ -248,6 +252,9 @@ TEST_P(PipelineValidationTest, SynthesisValidatesOrIsInfeasible) {
     EXPECT_EQ(result.status().code(), StatusCode::kInfeasible);
     return;
   }
+  if (param.nodes > 0) {
+    EXPECT_EQ(result->stats.nodes, param.nodes) << spec.name;
+  }
   SynthesisResult hardened = *result;
   const auto outcome = sim::harden(syn.topology(), spec, hardened);
   EXPECT_TRUE(outcome.report.ok()) << spec.name << " ["
@@ -260,20 +267,25 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         CaseParam{"chip1_fixed", cases::chip_sw1, BindingPolicy::kFixed},
         CaseParam{"chip1_cw", cases::chip_sw1, BindingPolicy::kClockwise},
-        CaseParam{"chip1_un", cases::chip_sw1, BindingPolicy::kUnfixed},
+        CaseParam{"chip1_un", cases::chip_sw1, BindingPolicy::kUnfixed,
+                  570'972},
         CaseParam{"chip2_fixed", cases::chip_sw2, BindingPolicy::kFixed},
         CaseParam{"chip2_cw", cases::chip_sw2, BindingPolicy::kClockwise},
-        CaseParam{"chip2_un", cases::chip_sw2, BindingPolicy::kUnfixed},
+        CaseParam{"chip2_un", cases::chip_sw2, BindingPolicy::kUnfixed,
+                  60'663'358},
         CaseParam{"na_fixed", cases::nucleic_acid, BindingPolicy::kFixed},
         CaseParam{"na_cw", cases::nucleic_acid, BindingPolicy::kClockwise},
-        CaseParam{"na_un", cases::nucleic_acid, BindingPolicy::kUnfixed},
-        CaseParam{"mrna_un", cases::mrna_isolation, BindingPolicy::kUnfixed},
+        CaseParam{"na_un", cases::nucleic_acid, BindingPolicy::kUnfixed,
+                  1'290},
+        CaseParam{"mrna_un", cases::mrna_isolation, BindingPolicy::kUnfixed,
+                  180'124},
         CaseParam{"kin1_fixed", cases::kinase_sw1, BindingPolicy::kFixed},
         CaseParam{"kin1_cw", cases::kinase_sw1, BindingPolicy::kClockwise},
-        CaseParam{"kin1_un", cases::kinase_sw1, BindingPolicy::kUnfixed},
+        CaseParam{"kin1_un", cases::kinase_sw1, BindingPolicy::kUnfixed, 8},
         CaseParam{"kin2_fixed", cases::kinase_sw2, BindingPolicy::kFixed},
         CaseParam{"kin2_cw", cases::kinase_sw2, BindingPolicy::kClockwise},
-        CaseParam{"kin2_un", cases::kinase_sw2, BindingPolicy::kUnfixed}),
+        CaseParam{"kin2_un", cases::kinase_sw2, BindingPolicy::kUnfixed,
+                  1'612}),
     [](const ::testing::TestParamInfo<CaseParam>& info) {
       return info.param.name;
     });
