@@ -46,9 +46,10 @@ cmake --build build -j "$(nproc)" --target serve_throughput
 build/bench/serve_throughput --smoke
 
 # CP symmetry-breaking smoke: on the pinned hardest unfixed case the
-# default search (first binding restricted to one pin per symmetry orbit)
-# must prove the same optimum as the search over the full binding space
-# within 50% of its nodes, exploring exactly the pinned node count.
+# default search (first binding restricted to one pin per symmetry orbit,
+# interchangeable modules bound in increasing pin order) must prove the
+# same optimum as the search over the full binding space within 50% of its
+# nodes, exploring exactly the pinned node count.
 cmake --build build -j "$(nproc)" --target cp_unfixed
 build/bench/cp_unfixed --smoke
 
@@ -183,10 +184,12 @@ build-asan/tests/serve_test \
 build-asan/tests/fuzz_boundaries_test
 # The cp node loop under ASan/UBSan: per-depth candidate, claimed-vertex
 # and conflict-mask buffers, and vertex masks of one word (crossbars) and
-# of two (the 69-vertex GRU chain), over the 200-instance parity fuzz.
+# of two (the 69-vertex GRU chain), over the 200-instance parity fuzz, the
+# 12- and 16-pin unfixed parity fuzz (module precedence chains) and the
+# exhaustive oracle.
 build-asan/tests/arch_paths_test
 build-asan/tests/cp_search_test \
-    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:LearningDeterminismTest.*:WideMaskTest.*'
+    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:UnfixedParityTest.*:ExhaustiveOracleTest.*:LearningDeterminismTest.*:WideMaskTest.*'
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \

@@ -159,8 +159,7 @@ const std::vector<int>& PathSet::between(int from_pin, int to_pin) const {
   const int fi = topo_->pin_index(from_pin);
   const int ti = topo_->pin_index(to_pin);
   if (fi < 0 || ti < 0) return empty_;
-  return by_pair_[static_cast<std::size_t>(fi) * topo_->num_pins() +
-                  static_cast<std::size_t>(ti)];
+  return between_indices(fi, ti);
 }
 
 PathSet enumerate_paths(const SwitchTopology& topo,

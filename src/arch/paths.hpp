@@ -69,8 +69,17 @@ class PathSet {
   [[nodiscard]] const Path& path(int id) const;
   [[nodiscard]] const std::vector<Path>& paths() const { return paths_; }
 
-  /// Path ids for the ordered pair (from_pin, to_pin), shortest first.
+  /// Path ids for the ordered pair (from_pin, to_pin) of pin vertex ids,
+  /// shortest first; empty when either vertex is not a pin.
   [[nodiscard]] const std::vector<int>& between(int from_pin, int to_pin) const;
+  /// The same list by clockwise pin index (SwitchTopology::pins_clockwise()),
+  /// without mapping vertex ids back to indices.
+  [[nodiscard]] const std::vector<int>& between_indices(int from_index,
+                                                        int to_index) const {
+    return by_pair_[static_cast<std::size_t>(from_index) *
+                        static_cast<std::size_t>(topo_->num_pins()) +
+                    static_cast<std::size_t>(to_index)];
+  }
 
   /// Words per vertex mask: ceil(num_vertices / 64).
   [[nodiscard]] int mask_words() const { return mask_words_; }

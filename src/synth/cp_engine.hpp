@@ -15,7 +15,9 @@
 ///    DFS; the first binding ranges over one pin per orbit of the path
 ///    set's verified symmetries (PathSet::pin_symmetries()), or over the
 ///    first side of a crossbar when only the identity verifies — which,
-///    with the default path cap, is every 12- and 16-pin crossbar.
+///    with the default path cap, is every 12- and 16-pin crossbar — and
+///    interchangeable modules (the outlets of one inlet; matching
+///    single-flow inlets with their outlets) bind in increasing pin order.
 ///
 /// Constraints enforced during the dive (identical to the IQP):
 ///  * one path per flow, each candidate path used at most once (3.1, 3.2);
@@ -36,7 +38,7 @@
 ///
 /// The search itself lives in cp_search.hpp. EngineParams::cp_symmetry is
 /// its only tuning knob; off, the unfixed search enumerates the full
-/// binding space.
+/// binding space, both symmetry rules disabled.
 
 #include "synth/engine.hpp"
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -38,15 +39,40 @@ struct PruneTally {
   long breaks = 0;    ///< candidate loops the early exit cuts
   long owner = 0;     ///< placements the collision rule rejects
   long conflict = 0;  ///< candidate paths the contamination rule drops
+  long symmetry = 0;  ///< bindings the module precedence chains skip
 
   PruneTally& operator+=(const PruneTally& o) {
     bound += o.bound;
     breaks += o.breaks;
     owner += o.owner;
     conflict += o.conflict;
+    symmetry += o.symmetry;
     return *this;
   }
 };
+
+/// True when relabeling the modules by \p perm maps the flow set and the
+/// inlet-level conflict pairs (the relation the search enforces, see
+/// ProblemSpec::flows_conflict) onto themselves. Such a relabeling sends
+/// every solution to one of equal objective: each flow keeps its path and
+/// set, and the binding moves with the labels. \p flows and
+/// \p inlet_conflicts are sorted, the conflict pairs normalized min-first.
+bool relabels_onto_itself(const std::vector<std::pair<int, int>>& flows,
+                          const std::vector<std::pair<int, int>>& inlet_conflicts,
+                          const std::vector<int>& perm) {
+  const auto image = [&perm](std::vector<std::pair<int, int>> pairs,
+                             bool unordered) {
+    for (auto& [a, b] : pairs) {
+      a = perm[static_cast<std::size_t>(a)];
+      b = perm[static_cast<std::size_t>(b)];
+      if (unordered && a > b) std::swap(a, b);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  };
+  return image(flows, false) == flows &&
+         image(inlet_conflicts, true) == inlet_conflicts;
+}
 
 class CpSearch {
  public:
@@ -61,6 +87,9 @@ class CpSearch {
   /// Recomputes the flow_order_-derived tables (conflict adjacency by
   /// order position and the admissible suffix length bound).
   void rebuild_order_tables();
+  /// Unfixed policy with cp_symmetry: fills chain_pred_ from the classes of
+  /// interchangeable modules, after flow_order_ and first_pins_ are set.
+  void build_precedence_chains();
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
   /// Clockwise policy: searches every binding whose first module (in the
   /// cyclic order) sits on pin \p p0.
@@ -91,6 +120,12 @@ class CpSearch {
       truncated_ = true;
     }
     return truncated_;
+  }
+  /// The pin index \p m must exceed: its chain predecessor's, bound already
+  /// (the chain order is the bind order), or -1 when \p m is unchained.
+  [[nodiscard]] int chain_floor(int m) const {
+    const int pred = chain_pred_[static_cast<std::size_t>(m)];
+    return pred < 0 ? -1 : module_pin_[static_cast<std::size_t>(pred)];
   }
   /// Added union length (um) if \p path were placed now.
   [[nodiscard]] double added_length_um(const arch::Path& path) const;
@@ -153,6 +188,9 @@ class CpSearch {
 
   /// Pin indices the first binding may use (every pin is free then).
   std::vector<int> first_pins_;
+  /// Module precedence: chain_pred_[m] is the module of m's class bound
+  /// just before m, whose pin index m's must exceed; -1 when unchained.
+  std::vector<int> chain_pred_;
 
   // Incumbent. best_obj_ is also the bound the search prunes against; a
   // split subtree starts from the first subtree's objective and no
@@ -212,9 +250,10 @@ void CpSearch::prepare() {
   path_used_.assign(static_cast<std::size_t>(paths_.size()), 0);
 
   max_candidates_ = 0;
-  for (const int from : topo_.pins_clockwise()) {
-    for (const int to : topo_.pins_clockwise()) {
-      max_candidates_ = std::max(max_candidates_, paths_.between(from, to).size());
+  for (int from = 0; from < num_pins_; ++from) {
+    for (int to = 0; to < num_pins_; ++to) {
+      max_candidates_ =
+          std::max(max_candidates_, paths_.between_indices(from, to).size());
     }
   }
   mask_words_ = static_cast<std::size_t>(paths_.mask_words());
@@ -223,13 +262,15 @@ void CpSearch::prepare() {
   forbid_.resize(flow_order_.size() * mask_words_);
   owned_.resize(flow_order_.size() * num_vertices_);
 
-  // Symmetry breaking (unfixed policy): the first binding ranges over one
-  // pin per orbit of the path set's verified symmetries (arch/symmetry.hpp)
-  // — every solution has an image of equal objective that binds the first
-  // module there. When only the identity verifies, a crossbar falls back to
-  // the pins of its first side: the quarter-turn argument, which the
-  // capped 12- and 16-pin path sets do not verify. cp_symmetry = false
-  // searches the full binding space (the bench/cp_unfixed baseline).
+  // Symmetry breaking (unfixed policy), two rules. The first binding ranges
+  // over one pin per orbit of the path set's verified symmetries
+  // (arch/symmetry.hpp) — every solution has an image of equal objective
+  // that binds the first module there. When only the identity verifies, a
+  // crossbar falls back to the pins of its first side: the quarter-turn
+  // argument, which the capped 12- and 16-pin path sets do not verify.
+  // Interchangeable modules then bind in increasing pin order
+  // (build_precedence_chains). cp_symmetry = false searches the full
+  // binding space (the bench/cp_unfixed baseline).
   const bool reduce =
       spec_.policy == BindingPolicy::kUnfixed && params_.cp_symmetry;
   const arch::PinSymmetries& syms = paths_.pin_symmetries();
@@ -241,6 +282,134 @@ void CpSearch::prepare() {
                         : topo_.kind() != arch::TopologyKind::kCrossbar ||
                               p < num_pins_ / 4);
     if (keep) first_pins_.push_back(p);
+  }
+  chain_pred_.assign(static_cast<std::size_t>(spec_.num_modules()), -1);
+  if (reduce) build_precedence_chains();
+}
+
+void CpSearch::build_precedence_chains() {
+  // Two kinds of interchangeable modules: the outlets of one inlet, and
+  // single-flow inlets, each taken with its outlet. A member is keyed by
+  // the module dfs binds first: the outlet, or the inlet of the pair. A
+  // swap of two members joins them only if it relabels the spec onto
+  // itself; union-find merges the valid swaps into classes, and the
+  // transpositions of a connected class generate all of its permutations.
+  const int n = spec_.num_modules();
+  std::vector<std::pair<int, int>> flows;
+  std::vector<std::vector<int>> outlets_of(static_cast<std::size_t>(n));
+  for (const FlowSpec& f : spec_.flows) {
+    flows.emplace_back(f.src_module, f.dst_module);
+    outlets_of[static_cast<std::size_t>(f.src_module)].push_back(f.dst_module);
+  }
+  std::sort(flows.begin(), flows.end());
+  const std::vector<std::pair<int, int>> inlet_conflicts =
+      spec_.conflicting_inlet_modules();
+
+  std::vector<int> parent(static_cast<std::size_t>(n));
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&parent](int m) {
+    while (parent[static_cast<std::size_t>(m)] != m) {
+      m = parent[static_cast<std::size_t>(m)];
+    }
+    return m;
+  };
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  const auto flip = [&perm](int x, int y) {
+    std::swap(perm[static_cast<std::size_t>(x)], perm[static_cast<std::size_t>(y)]);
+  };
+  // Swaps members a and b, the pair (a, b) of modules and, for (inlet,
+  // outlet) members, their outlets (c, d) too.
+  const auto try_swap = [&](int a, int b, int c, int d) {
+    flip(a, b);
+    if (c >= 0) flip(c, d);
+    if (relabels_onto_itself(flows, inlet_conflicts, perm)) {
+      parent[static_cast<std::size_t>(find(b))] = find(a);
+    }
+    flip(a, b);
+    if (c >= 0) flip(c, d);
+  };
+  std::vector<int> singles;  // inlets with exactly one flow
+  for (int m = 0; m < n; ++m) {
+    const std::vector<int>& outs = outlets_of[static_cast<std::size_t>(m)];
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      for (std::size_t j = i + 1; j < outs.size(); ++j) {
+        try_swap(outs[i], outs[j], -1, -1);
+      }
+    }
+    if (outs.size() == 1) singles.push_back(m);
+  }
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    for (std::size_t j = i + 1; j < singles.size(); ++j) {
+      try_swap(singles[i], singles[j],
+               outlets_of[static_cast<std::size_t>(singles[i])][0],
+               outlets_of[static_cast<std::size_t>(singles[j])][0]);
+    }
+  }
+
+  // The static order in which dfs binds modules: per flow in flow_order_,
+  // its source, then its destination, each when first seen.
+  std::vector<int> bind_order;
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (const int flow : flow_order_) {
+    const FlowSpec& f = spec_.flows[static_cast<std::size_t>(flow)];
+    for (const int m : {f.src_module, f.dst_module}) {
+      if (seen[static_cast<std::size_t>(m)] != 0) continue;
+      seen[static_cast<std::size_t>(m)] = 1;
+      bind_order.push_back(m);
+    }
+  }
+
+  // Condition 2: the first-bound module is the first of its chain, so
+  // sorting its class can only lower its pin; that stays a first-binding
+  // pin when those are downward closed in pin index. They are on every
+  // built-in switch (crossbar, GRU and spine representatives, the
+  // quarter-turn fallback, all pins); where they are not, the first-bound
+  // module is left out of its chain and every class permutation fixes it.
+  // first_pins_ ascends without repeats, so it is 0..k-1 when its last pin
+  // is k-1.
+  const bool downward_closed =
+      first_pins_.back() + 1 == static_cast<int>(first_pins_.size());
+  const int left_out = downward_closed ? -1 : bind_order.front();
+  std::vector<int> class_size(static_cast<std::size_t>(n), 0);
+  for (const int key : bind_order) {
+    if (key != left_out) ++class_size[static_cast<std::size_t>(find(key))];
+  }
+
+  // Chain each class in bind order (condition 3 holds by construction and
+  // is checked below).
+  std::vector<int> last_of_class(static_cast<std::size_t>(n), -1);
+  std::vector<char> in_a_class(static_cast<std::size_t>(n), 0);
+  for (const int key : bind_order) {
+    const int root = find(key);
+    if (key == left_out || class_size[static_cast<std::size_t>(root)] < 2) {
+      continue;
+    }
+    // Condition 1: a class permutation moves only its members' modules (the
+    // key, and an inlet key's outlet), so it fixes every module outside the
+    // class as long as no module belongs to two classes.
+    std::vector<int> moved{key};
+    if (outlets_of[static_cast<std::size_t>(key)].size() == 1) {
+      moved.push_back(outlets_of[static_cast<std::size_t>(key)][0]);
+    }
+    for (const int m : moved) {
+      MLSI_ASSERT(in_a_class[static_cast<std::size_t>(m)] == 0,
+                  "module precedence: a module belongs to two classes");
+      in_a_class[static_cast<std::size_t>(m)] = 1;
+    }
+    chain_pred_[static_cast<std::size_t>(key)] =
+        last_of_class[static_cast<std::size_t>(root)];
+    last_of_class[static_cast<std::size_t>(root)] = key;
+  }
+
+  // Condition 3: the chain order is the bind order, so when dfs binds a
+  // chained module its predecessor's pin is already known.
+  std::fill(seen.begin(), seen.end(), 0);
+  for (const int m : bind_order) {
+    const int pred = chain_pred_[static_cast<std::size_t>(m)];
+    MLSI_ASSERT(pred < 0 || seen[static_cast<std::size_t>(pred)] != 0,
+                "module precedence: a chain member binds before its predecessor");
+    seen[static_cast<std::size_t>(m)] = 1;
   }
 }
 
@@ -367,16 +536,13 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
 
 void CpSearch::route(int pos, int flow, int sp, int dp,
                      const std::uint64_t* forbid) {
-  const int src_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(sp)];
-  const int dst_vertex = topo_.pins_clockwise()[static_cast<std::size_t>(dp)];
-
   // Order candidate paths by the union length they would add: the
   // greedy-first dive produces a strong early incumbent. The insertion
   // sort is stable: equal lengths keep their between() order.
   std::pair<double, int>* ordered =
       candidates_.data() + static_cast<std::size_t>(pos) * max_candidates_;
   int count = 0;
-  for (const int pid : paths_.between(src_vertex, dst_vertex)) {
+  for (const int pid : paths_.between_indices(sp, dp)) {
     if (path_used_[static_cast<std::size_t>(pid)] != 0) continue;
     // Contamination rule: conflicting reagents never share a vertex.
     if (forbid != nullptr) {
@@ -451,9 +617,12 @@ void CpSearch::dfs(int pos) {
 
   // Source pins: the bound one, else the first binding's (every pin is
   // free then), else every free pin. Destination pins: the bound one, else
-  // every pin still free. Both in pin order.
+  // every pin still free. Both in pin order, and above the pin of the
+  // module's chain predecessor, if any.
   const int src_pin = module_pin_[static_cast<std::size_t>(fs.src_module)];
   const int dst_pin = module_pin_[static_cast<std::size_t>(fs.dst_module)];
+  const int src_floor = src_pin < 0 ? chain_floor(fs.src_module) : -1;
+  const int dst_floor = dst_pin < 0 ? chain_floor(fs.dst_module) : -1;
   const bool first_binding = src_pin < 0 && bound_modules_ == 0;
   const int num_src = src_pin >= 0    ? 1
                       : first_binding ? static_cast<int>(first_pins_.size())
@@ -464,6 +633,10 @@ void CpSearch::dfs(int pos) {
                                    : i;
     if (src_pin < 0) {
       if (pin_module_[static_cast<std::size_t>(sp)] != -1) continue;
+      if (sp < src_floor) {
+        ++tally_.symmetry;
+        continue;
+      }
       module_pin_[static_cast<std::size_t>(fs.src_module)] = sp;
       pin_module_[static_cast<std::size_t>(sp)] = fs.src_module;
       ++bound_modules_;
@@ -474,6 +647,10 @@ void CpSearch::dfs(int pos) {
       const int dp = dst_pin >= 0 ? dst_pin : j;
       if (dst_pin < 0) {
         if (pin_module_[static_cast<std::size_t>(dp)] != -1) continue;
+        if (dp < dst_floor) {
+          ++tally_.symmetry;
+          continue;
+        }
         module_pin_[static_cast<std::size_t>(fs.dst_module)] = dp;
         pin_module_[static_cast<std::size_t>(dp)] = fs.dst_module;
         ++bound_modules_;
@@ -694,7 +871,8 @@ Result<SynthesisResult> CpSearch::run() {
                         {"bound", json::Value{tally_.bound}},
                         {"breaks", json::Value{tally_.breaks}},
                         {"owner", json::Value{tally_.owner}},
-                        {"conflict", json::Value{tally_.conflict}}});
+                        {"conflict", json::Value{tally_.conflict}},
+                        {"symmetry", json::Value{tally_.symmetry}}});
   }
   return out;
 }

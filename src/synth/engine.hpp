@@ -59,12 +59,13 @@ struct EngineParams {
 
   // --- CP search (cp engine; cp_search.hpp) -------------------------------
 
-  /// Binding symmetry breaking for the unfixed policy: the first binding
-  /// ranges over the orbit representatives of the path set's verified
-  /// symmetries, falling back to the seed's quarter-turn restriction when
-  /// only the identity verifies (with the default path cap, on every 12-
-  /// and 16-pin crossbar; cp_search.hpp). Off disables binding symmetry
-  /// breaking entirely (the ablation baseline of bench/cp_unfixed) — the
+  /// Binding symmetry breaking for the unfixed policy, two rules
+  /// (cp_search.hpp): the first binding ranges over the orbit
+  /// representatives of the path set's verified symmetries, falling back
+  /// to the seed's quarter-turn restriction when only the identity
+  /// verifies (with the default path cap, on every 12- and 16-pin
+  /// crossbar), and interchangeable modules bind in increasing pin order.
+  /// Off disables both (the ablation baseline of bench/cp_unfixed) — the
   /// full binding space is enumerated.
   bool cp_symmetry = true;
 };

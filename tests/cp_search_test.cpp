@@ -1,19 +1,23 @@
-// CP search: the verified symmetry rule, the clockwise first-pin split
-// (the same answer at every job count) and — the ground truth —
-// verdict/objective parity between the default search, the unreduced
-// search (cp_symmetry off) and the independent IQP model on randomized
-// instances. The Learning* suite names predate the removal of nogood
-// learning from the search; they are kept so the test IDs stay stable.
+// CP search: the symmetry rules, the clockwise first-pin split (the same
+// answer at every job count) and — the ground truth — verdict/objective
+// parity between the default search, the unreduced search (cp_symmetry
+// off), the independent IQP model and an exhaustive oracle that shares no
+// code with the search, on randomized instances. The Learning* suite
+// names predate the removal of nogood learning from the search; they are
+// kept so the test IDs stay stable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/crossbar.hpp"
@@ -24,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "support/executor.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
 #include "synth/iqp_engine.hpp"
@@ -99,10 +104,13 @@ TEST(SymmetryTest, OrbitMinFollowsTheCycle) {
 
 TEST(SymmetryTest, FirstBindingRangesOverOrbitRepresentatives) {
   // Where rotations verify, the first binding of an unfixed search ranges
-  // over one pin per orbit and no later binding is pruned. Nucleic acid
-  // explores exactly as many nodes as under the lex-leader breaker this
-  // rule replaced, on the 8-pin crossbar and on one GRU, and proves the
-  // optimum of the search over the full binding space.
+  // over one pin per orbit (pins 0 and 1 on both switches), and the
+  // module precedence chains order the interchangeable modules: nucleic
+  // acid's two outlets of M1, and its single-flow mixers M2 and M3 with
+  // their chambers. Both prove the optimum of the search over the full
+  // binding space, whose node counts are pinned too: the unreduced search
+  // is the baseline every rule is measured against, and no rule may move
+  // it.
   EngineParams params;
   params.deadline = support::Deadline::after(60.0);
   EngineParams unreduced = params;
@@ -116,8 +124,9 @@ TEST(SymmetryTest, FirstBindingRangesOverOrbitRepresentatives) {
     const arch::SwitchTopology& topo;
     const arch::PathSet& paths;
     long nodes;
-  } switches[] = {{"crossbar", crossbar.topology, crossbar.paths, 1'290},
-                  {"gru", gru, gru_paths, 268}};
+    long unreduced_nodes;
+  } switches[] = {{"crossbar", crossbar.topology, crossbar.paths, 810, 5'151},
+                  {"gru", gru, gru_paths, 148, 1'066}};
   for (const auto& sw : switches) {
     EXPECT_TRUE(sw.paths.pin_symmetries().nontrivial()) << sw.name;
     const auto reduced = solve_cp(sw.topo, sw.paths, spec, params);
@@ -125,6 +134,7 @@ TEST(SymmetryTest, FirstBindingRangesOverOrbitRepresentatives) {
     ASSERT_TRUE(reduced.ok()) << sw.name << ": " << reduced.status().to_string();
     ASSERT_TRUE(full.ok()) << sw.name << ": " << full.status().to_string();
     EXPECT_EQ(reduced->stats.nodes, sw.nodes) << sw.name;
+    EXPECT_EQ(full->stats.nodes, sw.unreduced_nodes) << sw.name;
     EXPECT_TRUE(reduced->stats.proven_optimal) << sw.name;
     EXPECT_NEAR(reduced->objective, full->objective, 1e-9) << sw.name;
   }
@@ -190,7 +200,118 @@ TEST(LearningParityTest, TwoHundredInstancesMatchSeedSearch) {
   // The sweep must exercise both outcomes to mean anything.
   EXPECT_GT(feasible, 20);
   EXPECT_GT(infeasible, 5);
-  EXPECT_EQ(default_nodes, 634'135);
+  EXPECT_EQ(default_nodes, 515'354);
+}
+
+/// The candidate paths of \p all through the crossbar's innermost vertices
+/// (those farthest from every pin: the centre of the 8- and 16-pin grids,
+/// the 2x2 core of the 12-pin one). The restriction is rotation-invariant,
+/// so the restricted set verifies the symmetries \p all verifies.
+arch::PathSet innermost_paths(const arch::SwitchTopology& topo,
+                              const arch::PathSet& all) {
+  const auto n = static_cast<std::size_t>(topo.num_vertices());
+  std::vector<int> depth(n, -1);
+  std::vector<int> frontier = topo.pins_clockwise();
+  for (const int pin : frontier) depth[static_cast<std::size_t>(pin)] = 0;
+  int deepest = 0;
+  while (!frontier.empty()) {
+    std::vector<int> next;
+    for (const int v : frontier) {
+      for (const int sid : topo.incident(v)) {
+        const int w = topo.segment(sid).other(v);
+        if (depth[static_cast<std::size_t>(w)] >= 0) continue;
+        depth[static_cast<std::size_t>(w)] = depth[static_cast<std::size_t>(v)] + 1;
+        deepest = depth[static_cast<std::size_t>(w)];
+        next.push_back(w);
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::vector<arch::Path> kept;
+  for (const arch::Path& path : all.paths()) {
+    if (std::any_of(path.vertices.begin(), path.vertices.end(), [&](int v) {
+          return depth[static_cast<std::size_t>(v)] == deepest;
+        })) {
+      kept.push_back(path);
+    }
+  }
+  return arch::PathSet(&topo, std::move(kept));
+}
+
+TEST(UnfixedParityTest, TwelveAndSixteenPinsMatchTheUnreducedSearch) {
+  // Ground truth for the unfixed rules on the larger crossbars: the module
+  // precedence chains together with the first binding over the verified
+  // rotation orbits (every shortest path kept) and over the quarter-turn
+  // fallback (the default cap). The default search and the unreduced one
+  // must agree on the verdict and, when feasible, the proven optimum.
+  //
+  // On the full path sets these instances are all feasible: an inlet and
+  // its outlets can take a run of adjacent boundary pins, apart from every
+  // other inlet. Restricted to paths through the innermost vertices and to
+  // one flow set, where every two inlets must stay vertex-disjoint, many
+  // are infeasible.
+  arch::PathEnumOptions all_shortest;
+  all_shortest.max_paths_per_pair = 1 << 20;
+  int feasible = 0;
+  int infeasible = 0;
+  for (const int k : {3, 4}) {
+    const arch::SwitchTopology topo = arch::make_crossbar(k);
+    const arch::PathSet rotations = arch::enumerate_paths(topo, all_shortest);
+    const arch::PathSet capped = arch::enumerate_paths(topo);
+    const arch::PathSet rotations_inner = innermost_paths(topo, rotations);
+    const arch::PathSet capped_inner = innermost_paths(topo, capped);
+    ASSERT_EQ(rotations.pin_symmetries().group_size(), 4);
+    ASSERT_EQ(rotations_inner.pin_symmetries().group_size(), 4);
+    ASSERT_FALSE(capped.pin_symmetries().nontrivial());
+    ASSERT_FALSE(capped_inner.pin_symmetries().nontrivial());
+    // (inlets, outlets) shapes, sized so the unreduced search stays fast.
+    const std::pair<int, int> full_shapes[] = {
+        {2, 3}, {3, 4}, {2, 4}, k == 3 ? std::pair{3, 5} : std::pair{2, 3}};
+    const std::pair<int, int> inner_shapes[] = {
+        {1, 3}, {2, 3}, {3, 4}, k == 3 ? std::pair{4, 5} : std::pair{1, 2}};
+    const struct {
+      const char* name;
+      const arch::PathSet& paths;
+      const std::pair<int, int>* shapes;
+      bool one_set;
+    } families[] = {{"rotations", rotations, full_shapes, false},
+                    {"capped", capped, full_shapes, false},
+                    {"rotations innermost", rotations_inner, inner_shapes, true},
+                    {"capped innermost", capped_inner, inner_shapes, true}};
+    for (const auto& family : families) {
+      for (int v = 0; v < 8; ++v) {
+        cases::ArtificialParams params;
+        params.pins_per_side = k;
+        params.policy = BindingPolicy::kUnfixed;
+        params.num_inlets = family.shapes[v % 4].first;
+        params.num_outlets = family.shapes[v % 4].second;
+        params.num_conflict_pairs = 1 + (v + v / 4) % 4;
+        params.seed = 7300ull + 97ull * static_cast<std::uint64_t>(v) +
+                      static_cast<std::uint64_t>(k);
+        ProblemSpec spec = cases::make_artificial(params);
+        if (family.one_set) spec.max_sets = 1;
+        const std::string what = cat(family.name, " ", spec.name);
+        const auto reduced = solve_cp(topo, family.paths, spec, default_params());
+        const auto full = solve_cp(topo, family.paths, spec, unreduced_params());
+        ASSERT_EQ(reduced.ok(), full.ok())
+            << what << ": default="
+            << (reduced.ok() ? "ok" : reduced.status().to_string())
+            << " unreduced=" << (full.ok() ? "ok" : full.status().to_string());
+        if (!reduced.ok()) {
+          EXPECT_EQ(reduced.status().code(), StatusCode::kInfeasible) << what;
+          EXPECT_EQ(full.status().code(), StatusCode::kInfeasible) << what;
+          ++infeasible;
+          continue;
+        }
+        EXPECT_NEAR(reduced->objective, full->objective, 1e-6) << what;
+        EXPECT_TRUE(reduced->stats.proven_optimal) << what;
+        EXPECT_TRUE(full->stats.proven_optimal) << what;
+        ++feasible;
+      }
+    }
+  }
+  EXPECT_EQ(feasible, 52);
+  EXPECT_EQ(infeasible, 12);
 }
 
 TEST(LearningParityTest, CrossCheckedAgainstIqp) {
@@ -231,6 +352,244 @@ TEST(LearningParityTest, CrossCheckedAgainstIqp) {
   // The cross-check must compare real verdicts to mean anything: every one
   // of the 8 fixed-policy instances (v = 0, 3, ..., 21) must yield one.
   EXPECT_EQ(compared, 8);
+}
+
+// --- Exhaustive oracle --------------------------------------------------------
+//
+// A solver written from the problem's constraints alone, sharing no code
+// with the CP search (synth/cp_search.cpp): no bound, no symmetry rule, no
+// early exit. It tries every binding the policy allows, every candidate
+// path for each flow and every flow set for each flow, checks the
+// synthesis constraints as written out below, and keeps the cheapest
+// assignment that passes.
+
+constexpr double kNoDesign = std::numeric_limits<double>::infinity();
+
+/// True when the binding (module -> clockwise pin index) is one the
+/// policy allows: the prescribed pins (fixed), the user's order read
+/// clockwise from the first module's pin (clockwise), or any (unfixed).
+bool policy_allows(const ProblemSpec& spec, int num_pins,
+                   const std::vector<int>& pin_of) {
+  switch (spec.policy) {
+    case BindingPolicy::kFixed:
+      return std::all_of(spec.fixed_binding.begin(), spec.fixed_binding.end(),
+                         [&](const ModulePin& mp) {
+                           return pin_of[static_cast<std::size_t>(mp.module)] ==
+                                  mp.pin_index;
+                         });
+    case BindingPolicy::kClockwise: {
+      const int start =
+          pin_of[static_cast<std::size_t>(spec.clockwise_order.front())];
+      int previous = 0;
+      for (std::size_t i = 1; i < spec.clockwise_order.size(); ++i) {
+        const int pin =
+            pin_of[static_cast<std::size_t>(spec.clockwise_order[i])];
+        const int offset = (pin - start + num_pins) % num_pins;
+        if (offset <= previous) return false;
+        previous = offset;
+      }
+      return true;
+    }
+    case BindingPolicy::kUnfixed:
+      return true;
+  }
+  return false;
+}
+
+/// The reagents of two flows conflict when their inlets differ and some
+/// listed conflict pair joins a flow of the one inlet to a flow of the
+/// other (reagent identity lives at the inlet).
+bool reagents_conflict(const ProblemSpec& spec, int flow_a, int flow_b) {
+  const int a = spec.flows[static_cast<std::size_t>(flow_a)].src_module;
+  const int b = spec.flows[static_cast<std::size_t>(flow_b)].src_module;
+  if (a == b) return false;
+  for (const auto& [f, g] : spec.conflicts) {
+    const int x = spec.flows[static_cast<std::size_t>(f)].src_module;
+    const int y = spec.flows[static_cast<std::size_t>(g)].src_module;
+    if ((x == a && y == b) || (x == b && y == a)) return true;
+  }
+  return false;
+}
+
+/// The optimum over every (binding, path per flow, set per flow) that
+/// satisfies the constraints, or kNoDesign when none does.
+double exhaustive_optimum(const arch::SwitchTopology& topo,
+                          const arch::PathSet& paths, const ProblemSpec& spec) {
+  const int num_pins = topo.num_pins();
+  const int num_modules = spec.num_modules();
+  const auto num_flows = static_cast<std::size_t>(spec.num_flows());
+  const int num_sets = spec.effective_max_sets();
+
+  // shares[p * size + q]: paths p and q visit a common vertex.
+  const auto size = static_cast<std::size_t>(paths.size());
+  std::vector<char> shares(size * size, 0);
+  for (std::size_t p = 0; p < size; ++p) {
+    const std::vector<int>& a = paths.path(static_cast<int>(p)).vertex_set;
+    for (std::size_t q = 0; q < size; ++q) {
+      const std::vector<int>& b = paths.path(static_cast<int>(q)).vertex_set;
+      std::vector<int> common;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(common));
+      shares[p * size + q] = common.empty() ? 0 : 1;
+    }
+  }
+  std::vector<char> conflict(num_flows * num_flows, 0);
+  for (std::size_t f = 0; f < num_flows; ++f) {
+    for (std::size_t g = 0; g < num_flows; ++g) {
+      conflict[f * num_flows + g] =
+          reagents_conflict(spec, static_cast<int>(f), static_cast<int>(g)) ? 1 : 0;
+    }
+  }
+
+  double best = kNoDesign;
+  std::vector<int> path_of(num_flows);
+  std::vector<int> set_of(num_flows);
+  std::vector<char> segment_used(static_cast<std::size_t>(topo.num_segments()));
+  const auto evaluate = [&] {
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      for (std::size_t g = f + 1; g < num_flows; ++g) {
+        const int p = path_of[f];
+        const int q = path_of[g];
+        // Each candidate path carries at most one flow.
+        if (p == q) return;
+        if (shares[static_cast<std::size_t>(p) * size +
+                   static_cast<std::size_t>(q)] == 0) {
+          continue;
+        }
+        // Conflicting reagents never meet at a vertex, in any set.
+        if (conflict[f * num_flows + g] != 0) return;
+        // Within a set every vertex is wetted by one inlet at most.
+        if (set_of[f] == set_of[g] &&
+            spec.flows[f].src_module != spec.flows[g].src_module) {
+          return;
+        }
+      }
+    }
+    std::vector<int> used_sets(set_of);
+    std::sort(used_sets.begin(), used_sets.end());
+    const auto sets = std::unique(used_sets.begin(), used_sets.end()) -
+                      used_sets.begin();
+    std::fill(segment_used.begin(), segment_used.end(), 0);
+    double length_um = 0.0;
+    for (const int p : path_of) {
+      for (const int s : paths.path(p).segments) {
+        if (segment_used[static_cast<std::size_t>(s)] != 0) continue;
+        segment_used[static_cast<std::size_t>(s)] = 1;
+        length_um += topo.segment(s).length_um;
+      }
+    }
+    best = std::min(best, spec.alpha * static_cast<double>(sets) +
+                              spec.beta * length_um / 1000.0);
+  };
+
+  // Every injective module -> pin map; the policy filters them.
+  std::vector<int> pin_of(static_cast<std::size_t>(num_modules), -1);
+  std::vector<char> pin_taken(static_cast<std::size_t>(num_pins), 0);
+  const auto bind = [&](const auto& self, int module) -> void {
+    if (module < num_modules) {
+      for (int pin = 0; pin < num_pins; ++pin) {
+        if (pin_taken[static_cast<std::size_t>(pin)] != 0) continue;
+        pin_taken[static_cast<std::size_t>(pin)] = 1;
+        pin_of[static_cast<std::size_t>(module)] = pin;
+        self(self, module + 1);
+        pin_taken[static_cast<std::size_t>(pin)] = 0;
+      }
+      return;
+    }
+    if (!policy_allows(spec, num_pins, pin_of)) return;
+    std::vector<const std::vector<int>*> candidates(num_flows);
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      const int src = pin_of[static_cast<std::size_t>(spec.flows[f].src_module)];
+      const int dst = pin_of[static_cast<std::size_t>(spec.flows[f].dst_module)];
+      candidates[f] = &paths.between(
+          topo.pins_clockwise()[static_cast<std::size_t>(src)],
+          topo.pins_clockwise()[static_cast<std::size_t>(dst)]);
+    }
+    // Odometers over the path of each flow, then the set of each flow.
+    std::vector<std::size_t> pick(num_flows, 0);
+    for (;;) {
+      bool routable = true;
+      for (std::size_t f = 0; f < num_flows; ++f) {
+        routable = routable && pick[f] < candidates[f]->size();
+        if (routable) path_of[f] = (*candidates[f])[pick[f]];
+      }
+      if (routable) {
+        std::fill(set_of.begin(), set_of.end(), 0);
+        for (;;) {
+          evaluate();
+          std::size_t f = 0;
+          while (f < num_flows && ++set_of[f] == num_sets) set_of[f++] = 0;
+          if (f == num_flows) break;
+        }
+      }
+      std::size_t f = 0;
+      while (f < num_flows && ++pick[f] >= candidates[f]->size()) pick[f++] = 0;
+      if (f == num_flows) break;
+    }
+  };
+  bind(bind, 0);
+  return best;
+}
+
+TEST(ExhaustiveOracleTest, CpAgreesOnSmallInstancesOfEveryPolicy) {
+  // 8 pins, at most 3 flows and 2 to 4 candidate paths per pin pair keep
+  // the 300 enumerations to about a second in the default build.
+  // On the full path sets every unfixed instance here is feasible (each
+  // inlet's modules can sit on adjacent pins); restricted to the paths
+  // through the centre (innermost_paths), any two conflicting inlets, or
+  // two inlets sharing one flow set, cannot both route, so those unfixed
+  // instances are not.
+  const arch::SwitchTopology topo = arch::make_crossbar(2);
+  std::vector<arch::PathSet> full;
+  std::vector<arch::PathSet> centre;
+  for (const int cap : {2, 3, 4}) {
+    arch::PathEnumOptions options;
+    options.max_paths_per_pair = cap;
+    full.push_back(arch::enumerate_paths(topo, options));
+    centre.push_back(innermost_paths(topo, full.back()));
+  }
+  EngineParams params;
+  params.deadline = support::Deadline::after(60.0);
+
+  int feasible[3] = {0, 0, 0};
+  int infeasible[3] = {0, 0, 0};
+  for (int v = 0; v < 300; ++v) {
+    cases::ArtificialParams shape;
+    shape.pins_per_side = 2;
+    shape.policy = static_cast<BindingPolicy>(v % 3);
+    shape.num_outlets = 1 + (v / 3) % 3;
+    shape.num_inlets = 1 + (v / 9) % shape.num_outlets;
+    shape.num_conflict_pairs = (v / 2) % 3;
+    shape.seed = 4400ull + static_cast<std::uint64_t>(v) * 13;
+    ProblemSpec spec = cases::make_artificial(shape);
+    if (v % 4 == 1) spec.max_sets = 1;
+    const std::size_t cap = static_cast<std::size_t>(v / 5) % 3;
+    const arch::PathSet& paths = v % 5 < 2 ? centre[cap] : full[cap];
+    const std::string what =
+        cat(spec.name, v % 5 < 2 ? " centre" : "", " cap ", cap + 2,
+            " max_sets ", spec.max_sets);
+
+    const double expected = exhaustive_optimum(topo, paths, spec);
+    const auto got = solve_cp(topo, paths, spec, params);
+    const auto policy = static_cast<std::size_t>(spec.policy);
+    if (expected == kNoDesign) {
+      ASSERT_FALSE(got.ok()) << what << ": cp found " << got->objective;
+      EXPECT_EQ(got.status().code(), StatusCode::kInfeasible) << what;
+      ++infeasible[policy];
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().to_string()
+                          << ", oracle " << expected;
+    EXPECT_TRUE(got->stats.proven_optimal) << what;
+    EXPECT_NEAR(got->objective, expected, 1e-6) << what;
+    ++feasible[policy];
+  }
+  // The sweep must exercise both verdicts under every policy to mean
+  // anything (at this seed: 66/34 fixed, 84/16 clockwise, 85/15 unfixed).
+  for (int policy = 0; policy < 3; ++policy) {
+    EXPECT_GE(feasible[policy], 50) << "policy " << policy;
+    EXPECT_GE(infeasible[policy], 10) << "policy " << policy;
+  }
 }
 
 TEST(WideMaskTest, GruChainPastSixtyFourVerticesSolvesAsBefore) {
@@ -434,7 +793,9 @@ TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
   // instants with their fields under "args"; with the split, incumbents
   // come from worker threads too. cp.done also says why nodes were pruned,
   // summed over the split's subtrees: the same tallies as the serial
-  // search, which explores the same 411,497 nodes.
+  // search, which explores the same 411,497 nodes. A clockwise search
+  // binds every module before its dive, so the module precedence chains
+  // never skip a binding there.
   const ProblemSpec spec = cases::chip_sw2(BindingPolicy::kClockwise);
   const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
   const arch::PathSet paths = arch::enumerate_paths(topo);
@@ -475,19 +836,78 @@ TEST(ClockwiseSplitTest, SearchEventsAreTraceInstants) {
       EXPECT_EQ(args->get_bool("proven", false), result->stats.proven_optimal);
       EXPECT_EQ(args->get_number("nodes", -1), result->stats.nodes);
       EXPECT_NEAR(args->get_number("obj", 0.0), result->objective, 1e-9);
-      for (const char* tally : {"bound", "breaks", "owner", "conflict"}) {
+      for (const char* tally :
+           {"bound", "breaks", "owner", "conflict", "symmetry"}) {
         ASSERT_NE(args->find(tally), nullptr) << tally;
         EXPECT_EQ(args->get_number(tally, -1),
                   serial_done.get_number(tally, -2))
             << tally;
       }
       EXPECT_GT(args->get_number("breaks", 0), 0);
+      EXPECT_EQ(args->get_number("symmetry", -1), 0);
     }
   }
   EXPECT_GE(incumbents, 1);
   EXPECT_EQ(done, 1);
+  EXPECT_EQ(serial_done.get_number("symmetry", -1), 0);
   // The answer is the best incumbent any subtree recorded.
   EXPECT_NEAR(best_obj, result->objective, 1e-9);
+}
+
+TEST(SymmetryTest, FirstModuleLeavesItsChainWhenRepresentativesAreNoPrefix) {
+  // Every built-in switch numbers its pins so that the orbit
+  // representatives are a prefix of the pin order. Swapping the 8-pin
+  // crossbar's pins 1 and 2 makes them pins 0 and 2, so the first-bound
+  // module, when it is a single-flow inlet with interchangeable partners,
+  // is left out of its chain; the search must still prove the optimum of
+  // the full binding space.
+  const arch::SwitchTopology base = arch::make_crossbar(2);
+  std::vector<int> pins = base.pins_clockwise();
+  std::swap(pins[1], pins[2]);
+  const arch::SwitchTopology topo(base.kind(), base.name(), base.vertices(),
+                                  base.segments(), pins);
+  const arch::PathSet paths = arch::enumerate_paths(topo);
+  ASSERT_EQ(paths.pin_symmetries().group_size(), 4);
+  std::vector<int> representatives;
+  for (int p = 0; p < topo.num_pins(); ++p) {
+    if (paths.pin_symmetries().orbit_min(p) == p) representatives.push_back(p);
+  }
+  EXPECT_EQ(representatives, (std::vector<int>{0, 2}));
+  for (int v = 0; v < 40; ++v) {
+    cases::ArtificialParams params;
+    params.pins_per_side = 2;
+    params.policy = BindingPolicy::kUnfixed;
+    params.num_inlets = 2 + v % 2;
+    params.num_outlets = params.num_inlets + (v / 2) % 2;
+    params.num_conflict_pairs = (v / 4) % 4;
+    params.seed = 100 + static_cast<std::uint64_t>(v);
+    const ProblemSpec spec = cases::make_artificial(params);
+    const auto reduced = solve_cp(topo, paths, spec, default_params());
+    const auto full = solve_cp(topo, paths, spec, unreduced_params());
+    ASSERT_EQ(reduced.ok(), full.ok()) << spec.name;
+    if (!reduced.ok()) continue;
+    EXPECT_NEAR(reduced->objective, full->objective, 1e-6) << spec.name;
+    EXPECT_TRUE(reduced->stats.proven_optimal) << spec.name;
+  }
+}
+
+TEST(SymmetryTest, PrecedenceSkipsAreTallied) {
+  // ChIP sw.1 unfixed has two classes of interchangeable modules (i11's
+  // three mixers, buf's two wash outlets); the bindings their precedence
+  // chains skip are counted in the cp.done instant's symmetry tally.
+  const ProblemSpec spec = cases::chip_sw1(BindingPolicy::kUnfixed);
+  const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
+  auto& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  const auto result =
+      solve_cp(model.topology, model.paths, spec, default_params());
+  tracer.disable();
+  const json::Value done = done_args(tracer.to_json());
+  tracer.reset();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result->stats.proven_optimal);
+  EXPECT_GT(done.get_number("symmetry", 0), 0);
 }
 
 TEST(ClockwiseSplitTest, RecorderOnlySubtreeSpansKeepTheirName) {
@@ -528,32 +948,44 @@ TEST(ClockwiseSplitTest, RecorderOnlySubtreeSpansKeepTheirName) {
 }
 
 TEST(ClockwiseSplitTest, CallerStopReachesTheWorkers) {
-  // The workers poll the caller's token directly: tripping it mid-solve
+  // The workers poll the caller's token directly: tripping it mid-split
   // unwinds promptly and never reports a proof the search did not finish.
-  const ProblemSpec spec = cases::mrna_13(BindingPolicy::kClockwise);
+  // This 16-pin clockwise spec has no contamination-free design; its first
+  // pin's subtree takes about 0.6 s and the other 15 about 4 s on four
+  // workers (Release), so the stop, sent as soon as the flight recorder
+  // holds a worker's cp.subtree span, lands while the workers search.
+  cases::ArtificialParams params;
+  params.pins_per_side = 4;
+  params.num_inlets = 2;
+  params.num_outlets = 6;
+  params.num_conflict_pairs = 1;
+  params.policy = BindingPolicy::kClockwise;
+  params.seed = 1234;
+  const ProblemSpec spec = cases::make_artificial(params);
   const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
   const arch::PathSet paths = arch::enumerate_paths(topo);
-  const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
-  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
 
+  auto& recorder = obs::FlightRecorder::instance();
+  recorder.reset();
+  recorder.enable();
   support::StopSource source;
   EngineParams p = params_with_jobs(4);
   p.stop = source.token();
   Result<SynthesisResult> stopped{Status::Internal("not run")};
-  std::thread worker(
-      [&] { stopped = solve_cp(topo, paths, spec, p); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  std::thread worker([&] { stopped = solve_cp(topo, paths, spec, p); });
+  // The cp.solve span's begin record, then the first worker's cp.subtree.
+  while (recorder.record_count() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Timer timer;
   source.request_stop();
   worker.join();
+  recorder.disable();
+  recorder.reset();
   EXPECT_LT(timer.seconds(), 5.0);
-  if (!stopped.ok()) {
-    EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout);
-  } else if (stopped->stats.proven_optimal) {
-    expect_same_answer(serial, stopped, "finished before the stop");
-  } else {
-    EXPECT_GE(stopped->objective, serial->objective - 1e-9);
-  }
+  ASSERT_FALSE(stopped.ok()) << "the split finished before the stop";
+  EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout)
+      << stopped.status().to_string();
 }
 
 }  // namespace

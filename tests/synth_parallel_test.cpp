@@ -120,24 +120,33 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, PreTrippedStopTest,
                          ::testing::Values("cp", "iqp"));
 
 TEST(StopMidSearchTest, CpUnwindsWithinBoundedTime) {
-  // Launch a search that would run for minutes (12-pin unfixed), trip the
-  // token from outside, and require a prompt cooperative unwind.
-  const ProblemSpec spec = cases::mrna_isolation(BindingPolicy::kUnfixed);
+  // Launch a search that would run for minutes (13-module mRNA on 16 pins,
+  // unfixed, without the symmetry rules: not proven in 300 s), trip the
+  // token from outside, and require a prompt cooperative unwind that
+  // reports no proof.
+  const ProblemSpec spec = cases::mrna_13(BindingPolicy::kUnfixed);
   Synthesizer syn(spec);
   support::StopSource source;
   EngineParams ep;
   ep.stop = source.token();
   ep.deadline = support::Deadline::after(600.0);
+  ep.cp_symmetry = false;
 
-  std::thread worker([&] {
-    (void)solve_cp(syn.topology(), syn.paths(), spec, ep);
-  });
+  Result<SynthesisResult> stopped{Status::Internal("not run")};
+  std::thread worker(
+      [&] { stopped = solve_cp(syn.topology(), syn.paths(), spec, ep); });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   Timer timer;
   source.request_stop();
   worker.join();
   EXPECT_LT(timer.seconds(), 5.0)
       << "stop was requested but the dive kept running";
+  // The stop cut the search: an unproven incumbent or no design at all.
+  if (stopped.ok()) {
+    EXPECT_FALSE(stopped->stats.proven_optimal) << "finished before the stop";
+  } else {
+    EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout);
+  }
 }
 
 // --- batch sweeps ------------------------------------------------------------
