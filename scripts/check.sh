@@ -14,7 +14,8 @@
 # pointer-heavy; the recorder's dump path formats into fixed buffers; the
 # parsers take hostile bytes; the node loop indexes flat arrays),
 # and the concurrency tests (thread pool, stop tokens, the cp engine's
-# clockwise first-pin split, the shared switch-model map, serve
+# split of both free policies over their root units, the shared
+# switch-model map, serve
 # cache/coalescing, obs emission, metrics snapshots under mutation) again
 # under ThreadSanitizer.
 #
@@ -182,14 +183,15 @@ build-asan/tests/io_test
 build-asan/tests/serve_test \
     --gtest_filter='PersistentStoreTest.*:ServerTest.Hostile*:ServerTest.Stream*:ServerTest.Socket*'
 build-asan/tests/fuzz_boundaries_test
-# The cp node loop under ASan/UBSan: per-depth candidate, claimed-vertex
-# and conflict-mask buffers, and vertex masks of one word (crossbars) and
-# of two (the 69-vertex GRU chain), over the 200-instance parity fuzz, the
-# 12- and 16-pin unfixed parity fuzz (module precedence chains) and the
-# exhaustive oracle.
+# The cp node loop under ASan/UBSan: per-depth candidate, claimed-vertex,
+# conflict-mask and segment-union buffers, and vertex and segment masks of
+# one word (crossbars) and of two (the 69-vertex GRU chain), over the
+# 200-instance parity fuzz, the 12- and 16-pin unfixed parity fuzz (module
+# precedence chains), the exhaustive oracle and the unfixed split's suites
+# (worker states reset between root units).
 build-asan/tests/arch_paths_test
 build-asan/tests/cp_search_test \
-    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:UnfixedParityTest.*:ExhaustiveOracleTest.*:LearningDeterminismTest.*:WideMaskTest.*'
+    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:UnfixedParityTest.*:ExhaustiveOracleTest.*:LearningDeterminismTest.*:WideMaskTest.*:*UnfixedSplit*'
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
@@ -207,9 +209,11 @@ build-tsan/tests/serve_test
 # real contention (determinism + stop-token unwind tests included).
 build-tsan/tests/opt_milp_test --gtest_filter='MilpTest.Parallel*'
 build-tsan/tests/synth_parallel_test
-# The clockwise first-pin split: the same answer at jobs 1/2/4 with real
-# worker threads (the paper cases above the split threshold included).
-build-tsan/tests/cp_search_test --gtest_filter='*ClockwiseSplit*'
+# The split of both free policies over their root units (clockwise first
+# pins, unfixed first-flow pin pairs): the same answer at jobs 1/2/4 with
+# real worker threads (the paper cases above the split threshold
+# included), and a caller's stop reaching the workers.
+build-tsan/tests/cp_search_test --gtest_filter='*Split*'
 # Obs enabled under TSan: per-thread trace buffers (spans and the search
 # instants, recorded from the split's worker threads) and metrics atomics
 # all get exercised by a real clockwise split.

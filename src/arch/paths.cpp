@@ -131,6 +131,9 @@ PathSet::PathSet(const SwitchTopology* topo, std::vector<Path> paths)
   mask_words_ = (topo_->num_vertices() + 63) / 64;
   const auto words = static_cast<std::size_t>(mask_words_);
   masks_.assign(paths_.size() * words, 0);
+  segment_mask_words_ = (topo_->num_segments() + 63) / 64;
+  const auto segment_words = static_cast<std::size_t>(segment_mask_words_);
+  segment_masks_.assign(paths_.size() * segment_words, 0);
   for (Path& p : paths_) {
     p.id = static_cast<int>(&p - paths_.data());
     p.vertex_set = p.vertices;
@@ -140,6 +143,11 @@ PathSet::PathSet(const SwitchTopology* topo, std::vector<Path> paths)
     std::uint64_t* mask = masks_.data() + static_cast<std::size_t>(p.id) * words;
     for (const int v : p.vertices) {
       mask[static_cast<std::size_t>(v) / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    std::uint64_t* segment_mask =
+        segment_masks_.data() + static_cast<std::size_t>(p.id) * segment_words;
+    for (const int s : p.segments) {
+      segment_mask[static_cast<std::size_t>(s) / 64] |= std::uint64_t{1} << (s % 64);
     }
     const int fi = topo_->pin_index(p.from_pin);
     const int ti = topo_->pin_index(p.to_pin);

@@ -15,10 +15,11 @@
 /// options, so switch_model() builds each one once per process and every
 /// caller (Synthesizer, the serving layer) shares it.
 ///
-/// A PathSet also holds one vertex bitmask per path, built with the set:
-/// mask_words() 64-bit words per path (one on every crossbar, which has at
-/// most 41 vertices), so a search tests two paths for a shared vertex with
-/// one AND per word.
+/// A PathSet also holds one vertex bitmask and one segment bitmask per path,
+/// built with the set: mask_words() and segment_mask_words() 64-bit words
+/// per path (one each on every crossbar, which has at most 41 vertices and
+/// 56 segments), so a search tests two paths for a shared vertex with one
+/// AND per word, and counts the segments a path adds to a union by popcount.
 
 #include <cstdint>
 #include <span>
@@ -60,8 +61,8 @@ struct PathEnumOptions {
 /// All candidate paths of a topology.
 class PathSet {
  public:
-  /// Indexes \p paths, builds their vertex masks and verifies the pin
-  /// symmetries of (topology, paths).
+  /// Indexes \p paths, builds their vertex and segment masks and verifies
+  /// the pin symmetries of (topology, paths).
   PathSet(const SwitchTopology* topo, std::vector<Path> paths);
 
   [[nodiscard]] const SwitchTopology& topology() const { return *topo_; }
@@ -90,6 +91,17 @@ class PathSet {
                                 static_cast<std::size_t>(mask_words_),
             static_cast<std::size_t>(mask_words_)};
   }
+  /// Words per segment mask: ceil(num_segments / 64).
+  [[nodiscard]] int segment_mask_words() const { return segment_mask_words_; }
+  /// Path \p id's segment mask, segment_mask_words() words, laid out like
+  /// vertex_mask(): bit s % 64 of word s / 64 is set exactly when the path
+  /// uses segment s.
+  [[nodiscard]] std::span<const std::uint64_t> segment_mask(int id) const {
+    return {segment_masks_.data() +
+                static_cast<std::size_t>(id) *
+                    static_cast<std::size_t>(segment_mask_words_),
+            static_cast<std::size_t>(segment_mask_words_)};
+  }
 
   /// The plane symmetries that map the topology and this path set onto
   /// themselves, verified once at construction (symmetry.hpp).
@@ -105,6 +117,9 @@ class PathSet {
   std::vector<int> empty_;
   int mask_words_ = 1;
   std::vector<std::uint64_t> masks_;  ///< mask_words_ words per path, by id
+  int segment_mask_words_ = 1;
+  /// segment_mask_words_ words per path, by id
+  std::vector<std::uint64_t> segment_masks_;
   PinSymmetries symmetries_;
 };
 

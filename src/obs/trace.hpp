@@ -4,8 +4,8 @@
 /// \brief Thread-aware span/instant tracer emitting Chrome trace-event JSON:
 /// the event API of mlsi::obs.
 ///
-/// Synthesis runs on several threads (a large clockwise CP solve splits its
-/// first-pin subtrees over a pool; the server and batch runs solve on
+/// Synthesis runs on several threads (a large clockwise or unfixed CP solve
+/// splits its root units over a pool; the server and batch runs solve on
 /// workers); end-of-run aggregates cannot show *when* each worker was busy
 /// or where wall clock went. This tracer records spans (complete events,
 /// ph "X") and instants (ph "i") into per-thread buffers and serializes

@@ -4,7 +4,8 @@
 /// \brief Cooperative cancellation and a worker thread pool.
 ///
 /// The execution model of the parallel synthesis paths (the cp engine's
-/// clockwise first-pin split, synth::BatchSynthesizer, serve::Server):
+/// split of a clockwise or unfixed solve over its root units,
+/// synth::BatchSynthesizer, serve::Server):
 ///
 ///  * StopSource / StopToken — a shared cancellation flag. Solvers never
 ///    get killed; they poll `token.stop_requested()` at their node loops

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -21,27 +22,35 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kObjEps = 1e-9;
 /// Safety limit on the nodes of one search state (the whole serial search,
-/// or one first-pin subtree of the clockwise split); past it the search
-/// stops and reports itself truncated, like an expired deadline.
+/// or one root unit of the split); past it the search stops and reports
+/// itself truncated, like an expired deadline.
 constexpr long kMaxNodes = 500'000'000;
-/// A clockwise solve with jobs > 1 searches first pins 1..n-1 on a pool
-/// only when the first pin's subtree explored at least this many nodes.
-/// Measured: the 119 clockwise specs of the perfbench serve_zipf pool
-/// explore at most 1,790 nodes in their first subtree (2,629 in a whole
-/// solve), so serving stays serial, while the four clockwise hard cases
-/// explore 5,159 to 46,110.
+/// A free-policy solve with jobs > 1 searches root units 1.. on a pool only
+/// when unit 0 explored at least this many nodes (with the unfixed root).
+/// Measured on the perfbench serve_zipf pool: its clockwise specs explore
+/// at most 1,790 nodes in unit 0 (2,629 in a whole solve) and its unfixed
+/// specs at most 1,531 (8,116), so serving stays serial, while every hard
+/// case splits. Only unit 0 counts: a whole-solve count would start pools
+/// while serving.
 constexpr long kSplitMinNodes = 4096;
 
-/// Why the search cut what it cut, tallied per search state and summed over
-/// the split's subtrees. Reported as args of the cp.done trace instant.
-struct PruneTally {
+/// What a search state counted, summed over the split's units. Reported as
+/// args of the cp.done trace instant.
+struct Tally {
+  long nodes = 0;
+  /// Nodes per flow-order position; the last entry counts the leaves.
+  std::vector<long> nodes_by_pos;
   long bound = 0;     ///< placements the bound rejects
   long breaks = 0;    ///< candidate loops the early exit cuts
   long owner = 0;     ///< placements the collision rule rejects
   long conflict = 0;  ///< candidate paths the contamination rule drops
   long symmetry = 0;  ///< bindings the module precedence chains skip
 
-  PruneTally& operator+=(const PruneTally& o) {
+  Tally& operator+=(const Tally& o) {
+    nodes += o.nodes;
+    for (std::size_t pos = 0; pos < nodes_by_pos.size(); ++pos) {
+      nodes_by_pos[pos] += o.nodes_by_pos[pos];
+    }
     bound += o.bound;
     breaks += o.breaks;
     owner += o.owner;
@@ -49,6 +58,25 @@ struct PruneTally {
     symmetry += o.symmetry;
     return *this;
   }
+};
+
+/// The best design a search state has found. obj is also the bound the
+/// search prunes against: a root unit on the pool starts from unit 0's
+/// objective with found = false.
+struct Incumbent {
+  double obj = kInf;
+  bool found = false;
+  std::vector<int> module_pin;  ///< module -> pin index or -1
+  std::vector<int> path;        ///< by flow id
+  std::vector<int> set;         ///< by flow id
+  int sets_used = 0;
+};
+
+/// A length class of segments: every segment whose bit is set in mask
+/// (PathSet::segment_mask layout) is length_um long.
+struct LengthClass {
+  double length_um = 0.0;
+  std::vector<std::uint64_t> mask;
 };
 
 /// True when relabeling the modules by \p perm maps the flow set and the
@@ -90,14 +118,30 @@ class CpSearch {
   /// Unfixed policy with cp_symmetry: fills chain_pred_ from the classes of
   /// interchangeable modules, after flow_order_ and first_pins_ are set.
   void build_precedence_chains();
+  /// Splits the segments into length classes for added_length_um().
+  void build_length_classes();
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
+  /// Free policies: searches root units 0.. in order; once unit 0 is large,
+  /// units 1.. go to a pool (split_units).
+  void search_free();
+  /// The free policy's root units, the independent subtrees it splits into:
+  /// the first module's pin (clockwise), or the first flow's (source,
+  /// destination) pin pair, first_pins_ x the other pins (unfixed).
+  [[nodiscard]] int num_units() const;
+  /// Searches root unit \p u. Unfixed units share the root node, which
+  /// search_free() counts once.
+  void search_unit(int u);
   /// Clockwise policy: searches every binding whose first module (in the
   /// cyclic order) sits on pin \p p0.
   void search_first_pin(int p0);
-  /// Searches first pins 1..n-1 on \p jobs workers, each subtree from a
-  /// fresh state bounded by the current incumbent, then folds the subtrees
-  /// in first-pin order. The answer is the serial search's.
-  void split_first_pins(int jobs);
+  /// Searches root units 1..units_-1 on \p jobs workers, each from a reset
+  /// state bounded by the current incumbent, then folds them in unit order.
+  /// The answer is the serial search's.
+  void split_units(int jobs);
+  /// Readies a prepared state for one root unit bounded by \p bound: no
+  /// counts, no incumbent. A finished or truncated search has undone its
+  /// own bindings and placements, so nothing else needs resetting.
+  void reset_for_unit(double bound);
   void enumerate_clockwise(std::vector<int>& pin_of_order, int order_pos);
   void dfs(int pos);
   /// Tries the candidate paths between pins \p sp and \p dp for the flow at
@@ -109,13 +153,23 @@ class CpSearch {
   void place_and_recurse(int pos, int flow, const arch::Path& path,
                          double added_um, int set);
 
+  void bind(int module, int pin) {
+    module_pin_[static_cast<std::size_t>(module)] = pin;
+    pin_module_[static_cast<std::size_t>(pin)] = module;
+    ++bound_modules_;
+  }
+  void unbind(int module, int pin) {
+    module_pin_[static_cast<std::size_t>(module)] = -1;
+    pin_module_[static_cast<std::size_t>(pin)] = -1;
+    --bound_modules_;
+  }
   [[nodiscard]] double union_len_mm() const { return union_len_um_ / 1000.0; }
   [[nodiscard]] double partial_cost(int sets) const {
     return spec_.alpha * sets + spec_.beta * union_len_mm();
   }
   [[nodiscard]] bool out_of_budget() {
     if (truncated_) return true;
-    if (nodes_ >= kMaxNodes || params_.deadline.expired() ||
+    if (tally_.nodes >= kMaxNodes || params_.deadline.expired() ||
         params_.stop.stop_requested()) {
       truncated_ = true;
     }
@@ -127,8 +181,12 @@ class CpSearch {
     const int pred = chain_pred_[static_cast<std::size_t>(m)];
     return pred < 0 ? -1 : module_pin_[static_cast<std::size_t>(pred)];
   }
-  /// Added union length (um) if \p path were placed now.
-  [[nodiscard]] double added_length_um(const arch::Path& path) const;
+  /// The union of the segments placed above order position \p pos.
+  [[nodiscard]] std::uint64_t* union_at(int pos) {
+    return union_.data() + static_cast<std::size_t>(pos) * segment_words_;
+  }
+  /// Added union length (um) if path \p pid were placed on union \p used.
+  [[nodiscard]] double added_length_um(int pid, const std::uint64_t* used) const;
   /// Lower bound on every completion once the flow at \p pos is placed on a
   /// path adding \p added_um with \p sets flow sets in use. The early exit
   /// and the per-placement check both call this, so equal arguments give
@@ -163,6 +221,8 @@ class CpSearch {
   /// stub by one module's flows, so each contributes once and only after
   /// its flow/module first routes.
   std::vector<double> suffix_bound_um_;
+  /// The segments grouped by length, for added_length_um().
+  std::vector<LengthClass> length_classes_;
 
   // Mutable search state.
   std::vector<int> module_pin_;  ///< module -> pin index or -1
@@ -170,7 +230,6 @@ class CpSearch {
   int bound_modules_ = 0;
   std::vector<int> chosen_path_;  ///< per order position, path id
   std::vector<int> chosen_set_;   ///< per order position
-  std::vector<int> seg_count_;    ///< per segment, #flows using it
   double union_len_um_ = 0.0;
   int sets_used_ = 0;
   std::vector<std::vector<int>> owner_;  ///< [set][vertex] inlet module or -1
@@ -180,11 +239,15 @@ class CpSearch {
   // owns slice pos of each, so a node allocates nothing.
   std::size_t max_candidates_ = 0;  ///< most candidate paths of any pin pair
   std::size_t mask_words_ = 1;      ///< PathSet::mask_words()
+  std::size_t segment_words_ = 1;   ///< PathSet::segment_mask_words()
   std::size_t num_vertices_ = 0;
   /// (added length um, path id), kept sorted by added length.
   std::vector<std::pair<double, int>> candidates_;
   std::vector<std::uint64_t> forbid_;  ///< OR of conflicting flows' masks
   std::vector<int> owned_;             ///< vertices a placement newly claimed
+  /// Segment union per depth: slice pos + 1 is slice pos OR the segment
+  /// mask of the path placed at pos; slice 0 stays empty.
+  std::vector<std::uint64_t> union_;
 
   /// Pin indices the first binding may use (every pin is free then).
   std::vector<int> first_pins_;
@@ -192,19 +255,11 @@ class CpSearch {
   /// just before m, whose pin index m's must exceed; -1 when unchained.
   std::vector<int> chain_pred_;
 
-  // Incumbent. best_obj_ is also the bound the search prunes against; a
-  // split subtree starts from the first subtree's objective and no
-  // incumbent.
-  double best_obj_ = kInf;
-  bool have_best_ = false;
-  std::vector<int> best_module_pin_;
-  std::vector<int> best_path_;
-  std::vector<int> best_set_;
-  int best_sets_used_ = 0;
-
-  long nodes_ = 0;
-  PruneTally tally_;
+  Incumbent best_;
+  Tally tally_;
   bool truncated_ = false;
+  int units_ = 1;       ///< root units (1 under the fixed policy)
+  int pool_units_ = 0;  ///< root units searched on the pool
 };
 
 void CpSearch::prepare() {
@@ -244,7 +299,6 @@ void CpSearch::prepare() {
   pin_module_.assign(static_cast<std::size_t>(num_pins_), -1);
   chosen_path_.assign(flow_order_.size(), -1);
   chosen_set_.assign(flow_order_.size(), -1);
-  seg_count_.assign(static_cast<std::size_t>(topo_.num_segments()), 0);
   owner_.assign(static_cast<std::size_t>(max_sets_),
                 std::vector<int>(static_cast<std::size_t>(topo_.num_vertices()), -1));
   path_used_.assign(static_cast<std::size_t>(paths_.size()), 0);
@@ -257,10 +311,14 @@ void CpSearch::prepare() {
     }
   }
   mask_words_ = static_cast<std::size_t>(paths_.mask_words());
+  segment_words_ = static_cast<std::size_t>(paths_.segment_mask_words());
   num_vertices_ = static_cast<std::size_t>(topo_.num_vertices());
   candidates_.resize(flow_order_.size() * max_candidates_);
   forbid_.resize(flow_order_.size() * mask_words_);
   owned_.resize(flow_order_.size() * num_vertices_);
+  union_.assign((flow_order_.size() + 1) * segment_words_, 0);
+  build_length_classes();
+  tally_.nodes_by_pos.assign(flow_order_.size() + 1, 0);
 
   // Symmetry breaking (unfixed policy), two rules. The first binding ranges
   // over one pin per orbit of the path set's verified symmetries
@@ -445,36 +503,57 @@ void CpSearch::rebuild_order_tables() {
   }
 }
 
-double CpSearch::added_length_um(const arch::Path& path) const {
-  double add = 0.0;
-  for (const int s : path.segments) {
-    if (seg_count_[static_cast<std::size_t>(s)] == 0) {
-      add += topo_.segment(s).length_um;
+void CpSearch::build_length_classes() {
+  length_classes_.clear();
+  for (int sid = 0; sid < topo_.num_segments(); ++sid) {
+    const double len = topo_.segment(sid).length_um;
+    auto cls = std::find_if(length_classes_.begin(), length_classes_.end(),
+                            [len](const LengthClass& c) { return c.length_um == len; });
+    if (cls == length_classes_.end()) {
+      cls = length_classes_.insert(
+          length_classes_.end(),
+          LengthClass{len, std::vector<std::uint64_t>(segment_words_, 0)});
     }
+    cls->mask[static_cast<std::size_t>(sid) / 64] |= std::uint64_t{1} << (sid % 64);
+  }
+}
+
+double CpSearch::added_length_um(int pid, const std::uint64_t* used) const {
+  // Where every length is an integer (every crossbar: 800-um grid edges,
+  // 500-um stubs), each partial sum is an integer double, so this equals a
+  // segment-by-segment sum to the bit, in any order.
+  const std::span<const std::uint64_t> segs = paths_.segment_mask(pid);
+  double add = 0.0;
+  for (const LengthClass& cls : length_classes_) {
+    int count = 0;
+    for (std::size_t w = 0; w < segment_words_; ++w) {
+      count += std::popcount(segs[w] & cls.mask[w] & ~used[w]);
+    }
+    add += cls.length_um * count;
   }
   return add;
 }
 
 void CpSearch::record_incumbent() {
   const double obj = partial_cost(sets_used_);
-  if (obj < best_obj_ - kObjEps) {
-    best_obj_ = obj;
-    have_best_ = true;
-    best_module_pin_ = module_pin_;
+  if (obj < best_.obj - kObjEps) {
+    best_.obj = obj;
+    best_.found = true;
+    best_.module_pin = module_pin_;
     // Stored by flow id, the order run() assembles the result in.
-    best_path_.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
-    best_set_.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
+    best_.path.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
+    best_.set.assign(static_cast<std::size_t>(spec_.num_flows()), -1);
     for (std::size_t pos = 0; pos < flow_order_.size(); ++pos) {
       const auto flow = static_cast<std::size_t>(flow_order_[pos]);
-      best_path_[flow] = chosen_path_[pos];
-      best_set_[flow] = chosen_set_[pos];
+      best_.path[flow] = chosen_path_[pos];
+      best_.set[flow] = chosen_set_[pos];
     }
-    best_sets_used_ = sets_used_;
+    best_.sets_used = sets_used_;
     if (obs::trace_enabled()) {
       obs::trace_instant("cp.incumbent", {{"engine", json::Value{"cp"}},
                                           {"obj", json::Value{obj}},
                                           {"sets", json::Value{sets_used_}},
-                                          {"nodes", json::Value{nodes_}}});
+                                          {"nodes", json::Value{tally_.nodes}}});
     }
     if (obs::metrics_enabled()) {
       obs::metrics().counter("cp.incumbents").add();
@@ -487,7 +566,7 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
                                  double added_um, int set) {
   // Bound check with this placement applied plus the suffix length bound.
   const int new_sets = std::max(sets_used_, set + 1);
-  if (placement_bound(pos, added_um, new_sets) >= best_obj_ - kObjEps) {
+  if (placement_bound(pos, added_um, new_sets) >= best_.obj - kObjEps) {
     ++tally_.bound;
     return;
   }
@@ -513,7 +592,10 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
       owned[num_owned++] = v;
     }
   }
-  for (const int s : path.segments) ++seg_count_[static_cast<std::size_t>(s)];
+  const std::uint64_t* used = union_at(pos);
+  std::uint64_t* next = union_at(pos + 1);
+  const std::span<const std::uint64_t> segs = paths_.segment_mask(path.id);
+  for (std::size_t w = 0; w < segment_words_; ++w) next[w] = used[w] | segs[w];
   const double saved_len = union_len_um_;
   const int saved_sets = sets_used_;
   union_len_um_ = union_len_um_ + added_um;
@@ -530,7 +612,6 @@ void CpSearch::place_and_recurse(int pos, int flow, const arch::Path& path,
   path_used_[static_cast<std::size_t>(path.id)] = 0;
   union_len_um_ = saved_len;
   sets_used_ = saved_sets;
-  for (const int s : path.segments) --seg_count_[static_cast<std::size_t>(s)];
   for (int i = 0; i < num_owned; ++i) owners[static_cast<std::size_t>(owned[i])] = -1;
 }
 
@@ -541,6 +622,7 @@ void CpSearch::route(int pos, int flow, int sp, int dp,
   // sort is stable: equal lengths keep their between() order.
   std::pair<double, int>* ordered =
       candidates_.data() + static_cast<std::size_t>(pos) * max_candidates_;
+  const std::uint64_t* used = union_at(pos);
   int count = 0;
   for (const int pid : paths_.between_indices(sp, dp)) {
     if (path_used_[static_cast<std::size_t>(pid)] != 0) continue;
@@ -554,7 +636,7 @@ void CpSearch::route(int pos, int flow, int sp, int dp,
         continue;
       }
     }
-    const double added = added_length_um(paths_.path(pid));
+    const double added = added_length_um(pid, used);
     int at = count++;
     for (; at > 0 && ordered[at - 1].first > added; --at) {
       ordered[at] = ordered[at - 1];
@@ -569,11 +651,11 @@ void CpSearch::route(int pos, int flow, int sp, int dp,
     // (placement_bound with max(sets_used_, 1) sets; a later set only adds
     // sets), and `ordered` ascends in added length. With alpha, beta >= 0
     // (ProblemSpec::validate) and IEEE +, * and / by 1000 monotone, every
-    // later (path, set) pair bounds at least this high, and best_obj_ never
+    // later (path, set) pair bounds at least this high, and best_.obj never
     // rises; so each placement skipped here would have returned at
     // place_and_recurse's bound check without entering dfs.
     if (placement_bound(pos, added, std::max(sets_used_, 1)) >=
-        best_obj_ - kObjEps) {
+        best_.obj - kObjEps) {
       ++tally_.breaks;
       break;
     }
@@ -585,7 +667,8 @@ void CpSearch::route(int pos, int flow, int sp, int dp,
 }
 
 void CpSearch::dfs(int pos) {
-  ++nodes_;
+  ++tally_.nodes;
+  ++tally_.nodes_by_pos[static_cast<std::size_t>(pos)];
   if (out_of_budget()) return;
   if (pos == static_cast<int>(flow_order_.size())) {
     record_incumbent();
@@ -594,7 +677,7 @@ void CpSearch::dfs(int pos) {
   if (partial_cost(sets_used_) +
           spec_.beta * suffix_bound_um_[static_cast<std::size_t>(pos)] /
               1000.0 >=
-      best_obj_ - kObjEps) {
+      best_.obj - kObjEps) {
     return;
   }
 
@@ -637,9 +720,7 @@ void CpSearch::dfs(int pos) {
         ++tally_.symmetry;
         continue;
       }
-      module_pin_[static_cast<std::size_t>(fs.src_module)] = sp;
-      pin_module_[static_cast<std::size_t>(sp)] = fs.src_module;
-      ++bound_modules_;
+      bind(fs.src_module, sp);
     }
 
     const int num_dst = dst_pin >= 0 ? 1 : num_pins_;
@@ -651,25 +732,15 @@ void CpSearch::dfs(int pos) {
           ++tally_.symmetry;
           continue;
         }
-        module_pin_[static_cast<std::size_t>(fs.dst_module)] = dp;
-        pin_module_[static_cast<std::size_t>(dp)] = fs.dst_module;
-        ++bound_modules_;
+        bind(fs.dst_module, dp);
       }
 
       route(pos, flow, sp, dp, forbid);
 
-      if (dst_pin < 0) {
-        module_pin_[static_cast<std::size_t>(fs.dst_module)] = -1;
-        pin_module_[static_cast<std::size_t>(dp)] = -1;
-        --bound_modules_;
-      }
+      if (dst_pin < 0) unbind(fs.dst_module, dp);
     }
 
-    if (src_pin < 0) {
-      module_pin_[static_cast<std::size_t>(fs.src_module)] = -1;
-      pin_module_[static_cast<std::size_t>(sp)] = -1;
-      --bound_modules_;
-    }
+    if (src_pin < 0) unbind(fs.src_module, sp);
   }
 }
 
@@ -719,37 +790,105 @@ void CpSearch::search_first_pin(int p0) {
   enumerate_clockwise(pin_of_order, 1);
 }
 
-void CpSearch::split_first_pins(int jobs) {
-  // Every subtree starts from the same bound, so what each one explores and
+int CpSearch::num_units() const {
+  if (spec_.policy == BindingPolicy::kClockwise) return num_pins_;
+  return static_cast<int>(first_pins_.size()) * (num_pins_ - 1);
+}
+
+void CpSearch::search_unit(int u) {
+  if (spec_.policy == BindingPolicy::kClockwise) {
+    search_first_pin(u);
+    return;
+  }
+  // The root's expansion, dfs(0)'s pin loops cut to one (source,
+  // destination) pair, in the same order: source over first_pins_, then
+  // destination over the other pins. Nothing is bound yet, and neither
+  // module has a chain floor: the first-bound module heads its chain or
+  // is left out of it (condition 2), and an outlet class never holds an
+  // inlet. No earlier flow conflicts, so no vertex is forbidden.
+  const int sp = first_pins_[static_cast<std::size_t>(u / (num_pins_ - 1))];
+  const int other = u % (num_pins_ - 1);
+  const int dp = other < sp ? other : other + 1;
+  const int flow = flow_order_[0];
+  const FlowSpec& fs = spec_.flows[static_cast<std::size_t>(flow)];
+  bind(fs.src_module, sp);
+  bind(fs.dst_module, dp);
+  route(0, flow, sp, dp, nullptr);
+  unbind(fs.dst_module, dp);
+  unbind(fs.src_module, sp);
+}
+
+void CpSearch::search_free() {
+  units_ = num_units();
+  if (spec_.policy == BindingPolicy::kUnfixed) {
+    // The unfixed root node is shared by its units: counted once, here. Its
+    // bound test cannot cut yet (there is no incumbent), and it has no leaf:
+    // a valid spec has flows.
+    ++tally_.nodes;
+    ++tally_.nodes_by_pos[0];
+    if (out_of_budget()) return;
+  }
+  search_unit(0);
+  if (units_ > 1 && !truncated_ && tally_.nodes >= kSplitMinNodes) {
+    const int jobs = support::ThreadPool::resolve_jobs(params_.jobs);
+    if (jobs > 1) {
+      split_units(jobs);
+      return;
+    }
+  }
+  for (int u = 1; u < units_ && !out_of_budget(); ++u) search_unit(u);
+}
+
+void CpSearch::reset_for_unit(double bound) {
+  best_ = Incumbent{};
+  best_.obj = bound;
+  tally_ = Tally{};
+  tally_.nodes_by_pos.assign(flow_order_.size() + 1, 0);
+  truncated_ = false;
+}
+
+void CpSearch::split_units(int jobs) {
+  // Every unit starts from the same bound, so what each one explores and
   // finds does not depend on the others or on thread timing. Folding them
-  // in first-pin order, where only a strictly better incumbent replaces
-  // the current one, then picks exactly the solution the serial loop ends
-  // on; the node count matches too whenever the first subtree already
-  // holds the optimum, since the serial loop then prunes every later
-  // subtree against that same bound.
-  const auto slots = static_cast<std::size_t>(num_pins_);
-  std::vector<std::unique_ptr<CpSearch>> subtrees(slots);
-  // A throwing subtree search must not escape the pool thread; it is
-  // rethrown on the calling thread, as the serial search would throw it.
+  // in unit order, where only a strictly better incumbent replaces the
+  // current one, then picks exactly the solution the serial loop ends on;
+  // the node count matches too whenever unit 0 already holds the optimum,
+  // since the serial loop then prunes every later unit against that same
+  // bound.
+  struct UnitOutcome {
+    Tally tally;
+    bool truncated = false;
+    Incumbent best;
+  };
+  const auto slots = static_cast<std::size_t>(units_);
+  std::vector<UnitOutcome> outcomes(slots);
+  // A throwing unit search must not escape the pool thread; it is rethrown
+  // on the calling thread, as the serial search would throw it.
   std::vector<std::exception_ptr> errors(slots);
-  std::atomic<int> next_pin{1};
+  std::atomic<int> next_unit{1};
+  const double bound = best_.obj;
   {
-    support::ThreadPool pool(std::min(jobs, num_pins_ - 1));
+    support::ThreadPool pool(std::min(jobs, units_ - 1));
     for (int w = 0; w < pool.size(); ++w) {
       pool.submit([&] {
-        for (int p0 = next_pin++; p0 < num_pins_; p0 = next_pin++) {
-          const auto slot = static_cast<std::size_t>(p0);
+        // One search state per worker, prepared once and reset per unit.
+        std::unique_ptr<CpSearch> state;
+        for (int u = next_unit++; u < units_; u = next_unit++) {
+          const auto slot = static_cast<std::size_t>(u);
           try {
             obs::TraceSpan span("cp.subtree",
-                                [p0] { return cat("cp.subtree:", p0); });
-            auto sub =
-                std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
-            sub->prepare();
-            sub->best_obj_ = best_obj_;
-            sub->search_first_pin(p0);
-            subtrees[slot] = std::move(sub);
+                                [u] { return cat("cp.subtree:", u); });
+            if (state == nullptr) {
+              state = std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
+              state->prepare();
+            }
+            state->reset_for_unit(bound);
+            state->search_unit(u);
+            outcomes[slot] = {std::move(state->tally_), state->truncated_,
+                              std::move(state->best_)};
           } catch (...) {
             errors[slot] = std::current_exception();
+            state.reset();  // a search cut by a throw has not undone itself
           }
         }
       });
@@ -759,20 +898,15 @@ void CpSearch::split_first_pins(int jobs) {
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-  for (int p0 = 1; p0 < num_pins_; ++p0) {
-    CpSearch& sub = *subtrees[static_cast<std::size_t>(p0)];
-    nodes_ += sub.nodes_;
-    tally_ += sub.tally_;
-    truncated_ = truncated_ || sub.truncated_;
-    if (sub.have_best_ && sub.best_obj_ < best_obj_ - kObjEps) {
-      best_obj_ = sub.best_obj_;
-      have_best_ = true;
-      best_module_pin_ = std::move(sub.best_module_pin_);
-      best_path_ = std::move(sub.best_path_);
-      best_set_ = std::move(sub.best_set_);
-      best_sets_used_ = sub.best_sets_used_;
+  for (std::size_t slot = 1; slot < slots; ++slot) {
+    UnitOutcome& unit = outcomes[slot];
+    tally_ += unit.tally;
+    truncated_ = truncated_ || unit.truncated;
+    if (unit.best.found && unit.best.obj < best_.obj - kObjEps) {
+      best_ = std::move(unit.best);
     }
   }
+  pool_units_ = units_ - 1;
 }
 
 Result<SynthesisResult> CpSearch::run() {
@@ -794,40 +928,24 @@ Result<SynthesisResult> CpSearch::run() {
       run_fixed_binding(module_pin);
       break;
     }
-    case BindingPolicy::kClockwise: {
-      if (spec_.num_modules() > num_pins_) {
-        return Status::InvalidArgument("more modules than pins");
-      }
-      search_first_pin(0);
-      if (!truncated_ && nodes_ >= kSplitMinNodes) {
-        const int jobs = support::ThreadPool::resolve_jobs(params_.jobs);
-        if (jobs > 1) {
-          split_first_pins(jobs);
-          break;
-        }
-      }
-      for (int p0 = 1; p0 < num_pins_ && !out_of_budget(); ++p0) {
-        search_first_pin(p0);
-      }
-      break;
-    }
+    case BindingPolicy::kClockwise:
     case BindingPolicy::kUnfixed: {
       if (spec_.num_modules() > num_pins_) {
         return Status::InvalidArgument("more modules than pins");
       }
-      dfs(0);
+      search_free();
       break;
     }
   }
 
   if (obs::metrics_enabled()) {
-    obs::metrics().counter("cp.nodes").add(nodes_);
+    obs::metrics().counter("cp.nodes").add(tally_.nodes);
   }
 
-  if (!have_best_) {
+  if (!best_.found) {
     if (truncated_) {
       return Status::Timeout(
-          cat("cp engine exhausted its budget after ", nodes_,
+          cat("cp engine exhausted its budget after ", tally_.nodes,
               " nodes without finding a feasible solution"));
     }
     return Status::Infeasible(
@@ -838,7 +956,7 @@ Result<SynthesisResult> CpSearch::run() {
   SynthesisResult out;
   out.binding.assign(static_cast<std::size_t>(spec_.num_modules()), -1);
   for (int m = 0; m < spec_.num_modules(); ++m) {
-    const int p = best_module_pin_[static_cast<std::size_t>(m)];
+    const int p = best_.module_pin[static_cast<std::size_t>(m)];
     if (p >= 0) {
       out.binding[static_cast<std::size_t>(m)] =
           topo_.pins_clockwise()[static_cast<std::size_t>(p)];
@@ -848,31 +966,36 @@ Result<SynthesisResult> CpSearch::run() {
   for (int flow = 0; flow < spec_.num_flows(); ++flow) {
     RoutedFlow rf;
     rf.flow = flow;
-    rf.set = best_set_[static_cast<std::size_t>(flow)];
-    rf.path = paths_.path(best_path_[static_cast<std::size_t>(flow)]);
+    rf.set = best_.set[static_cast<std::size_t>(flow)];
+    rf.path = paths_.path(best_.path[static_cast<std::size_t>(flow)]);
     out.routed[static_cast<std::size_t>(flow)] = std::move(rf);
   }
-  out.num_sets = best_sets_used_;
+  out.num_sets = best_.sets_used;
   out.used_segments = union_segments(out.routed);
   out.flow_length_mm = segments_length_mm(topo_, out.used_segments);
   out.objective = spec_.alpha * out.num_sets + spec_.beta * out.flow_length_mm;
   out.stats.engine = "cp";
   out.stats.runtime_s = timer.seconds();
-  out.stats.nodes = nodes_;
+  out.stats.nodes = tally_.nodes;
   out.stats.proven_optimal = !truncated_;
   if (out.stats.proven_optimal && obs::metrics_enabled()) {
     obs::metrics().series("search.gap").record(0.0);
   }
   if (obs::trace_enabled()) {
+    json::Array nodes_by_pos;
+    for (const long n : tally_.nodes_by_pos) nodes_by_pos.emplace_back(n);
     obs::trace_instant("cp.done",
                        {{"proven", json::Value{out.stats.proven_optimal}},
-                        {"nodes", json::Value{nodes_}},
+                        {"nodes", json::Value{tally_.nodes}},
                         {"obj", json::Value{out.objective}},
                         {"bound", json::Value{tally_.bound}},
                         {"breaks", json::Value{tally_.breaks}},
                         {"owner", json::Value{tally_.owner}},
                         {"conflict", json::Value{tally_.conflict}},
-                        {"symmetry", json::Value{tally_.symmetry}}});
+                        {"symmetry", json::Value{tally_.symmetry}},
+                        {"nodes_by_pos", json::Value{std::move(nodes_by_pos)}},
+                        {"units", json::Value{units_}},
+                        {"pool_units", json::Value{pool_units_}}});
   }
   return out;
 }

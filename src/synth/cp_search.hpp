@@ -11,19 +11,23 @@
 /// The node loop: candidate paths are sorted by added union length, so the
 /// first one whose cheapest set choice fails the bound ends the candidate
 /// loop — exactly, since every later placement would fail it too. The
+/// added length comes from PathSet::segment_mask() and the union of the
+/// placed paths' masks, one popcount per segment length class. The
 /// contamination check ANDs each candidate's PathSet::vertex_mask() with
 /// the OR of the conflicting earlier flows' masks, built once per node.
-/// Candidate lists, conflict masks and undo lists live in per-depth
-/// buffers sized once per search, so a node allocates nothing. The
-/// search tallies why it pruned (bound, early breaks, owner clashes,
-/// conflict clashes, precedence skips) and reports the tallies as args of
-/// the cp.done trace instant.
+/// Candidate lists, conflict masks, segment unions and undo lists live in
+/// per-depth buffers sized once per search, so a node allocates nothing.
+/// The search tallies why it pruned (bound, early breaks, owner clashes,
+/// conflict clashes, precedence skips) and its nodes per flow-order
+/// position, and reports them as args of the cp.done trace instant.
 ///
-/// For the clockwise policy the outer loop runs over the first module's
-/// pin. When EngineParams::jobs resolves to more than one worker and the
-/// first pin's subtree was large, the other first pins are searched on a
-/// pool, each from a fresh state bounded by the first subtree's incumbent,
-/// and folded in first-pin order: the answer is the serial one.
+/// Both free policies split into root units: the first module's pin
+/// (clockwise), or the first flow's (source, destination) pin pair
+/// (unfixed, whose root node the units share). When EngineParams::jobs
+/// resolves to more than one worker and unit 0 was large, units 1.. are
+/// searched on a pool, each worker keeping one search state that it
+/// resets per unit, each unit bounded by unit 0's incumbent, and folded in
+/// unit order: the answer is the serial one.
 ///
 /// For the unfixed policy two symmetry rules apply. The first binding
 /// ranges over the orbit representatives of the symmetries the path set

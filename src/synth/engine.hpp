@@ -7,9 +7,9 @@
 ///  * "cp" (cp_engine.hpp) — dedicated chronological branch & bound over
 ///    (binding, path, flow-set) assignments with incremental constraint
 ///    checks and, for unfixed bindings, symmetry breaking; fast on every
-///    policy and the production choice. A large clockwise solve splits its
-///    first-pin loop over EngineParams::jobs workers and returns the serial
-///    answer.
+///    policy and the production choice. A large clockwise or unfixed solve
+///    splits its root units over EngineParams::jobs workers and returns
+///    the serial answer.
 ///  * "iqp" (iqp_engine.hpp) — faithful reconstruction of the paper's
 ///    IQP, constraints (3.1)-(3.13), solved with mlsi::opt (the in-repo
 ///    Gurobi substitute). Tractable for fixed-policy models of any size and
@@ -47,11 +47,13 @@ struct EngineParams {
   /// node, LP pivot). An engine observing a tripped token unwinds promptly
   /// with its best incumbent, exactly as if the deadline had expired.
   support::StopToken stop;
-  /// Worker threads for the cp engine's clockwise first-pin split; 0 means
-  /// "use the hardware parallelism". The split starts only once the first
-  /// pin's subtree is large (cp_search.cpp), and its answer is the serial
-  /// one at every value. Also forwarded to the MILP tree search of the IQP
-  /// engine and the pressure ILP while MilpParams::jobs is left at 1.
+  /// Worker threads for the cp engine's split of a clockwise or unfixed
+  /// solve over its root units (the first module's pin, or the first
+  /// flow's pin pair); 0 means "use the hardware parallelism". The split
+  /// starts only once root unit 0 is large (cp_search.cpp), and its answer
+  /// is the serial one at every value. Also forwarded to the MILP tree
+  /// search of the IQP engine and the pressure ILP while MilpParams::jobs
+  /// is left at 1.
   int jobs = 0;
   /// Forwarded to the MILP solver by the IQP engine and the pressure ILP;
   /// its deadline/stop are tightened to the engine's own before use.

@@ -144,6 +144,40 @@ TEST(PathsTest, VertexMasksHoldExactlyThePathVertices) {
   }
 }
 
+TEST(PathsTest, SegmentMasksHoldExactlyThePathSegments) {
+  // The 8-, 12- and 16-pin crossbars have 2k(k+1) grid edges and 4k pin
+  // stubs, 20, 36 and 56 segments: one mask word each. The 8-unit GRU
+  // chain has more than 64, so its masks take two words.
+  PathEnumOptions slack;
+  slack.slack_um = 800.0;
+  const SwitchTopology x8 = make_crossbar(2);
+  const SwitchTopology x12 = make_crossbar(3);
+  const SwitchTopology x16 = make_crossbar(4);
+  const SwitchTopology chain = make_gru(8);
+  const struct {
+    const SwitchTopology& topo;
+    PathEnumOptions options;
+    int segments;  ///< 0: not pinned
+    int words;
+  } cases[] = {{x8, {}, 20, 1}, {x12, {}, 36, 1}, {x16, {}, 56, 1},
+               {chain, slack, 0, 2}};
+  for (const auto& c : cases) {
+    if (c.segments > 0) EXPECT_EQ(c.topo.num_segments(), c.segments);
+    const PathSet paths = enumerate_paths(c.topo, c.options);
+    ASSERT_EQ(paths.segment_mask_words(), c.words) << c.topo.name();
+    for (const Path& p : paths.paths()) {
+      const auto mask = paths.segment_mask(p.id);
+      ASSERT_EQ(mask.size(), static_cast<std::size_t>(c.words));
+      for (int s = 0; s < 64 * c.words; ++s) {  // padding bits included
+        const bool bit =
+            ((mask[static_cast<std::size_t>(s) / 64] >> (s % 64)) & 1) != 0;
+        EXPECT_EQ(bit, s < c.topo.num_segments() && p.uses_segment(s))
+            << "path " << p.id << " segment " << s;
+      }
+    }
+  }
+}
+
 TEST(PathsTest, SpineHasUniquePaths) {
   const SwitchTopology topo = make_spine(6);
   const PathSet paths = enumerate_paths(topo);

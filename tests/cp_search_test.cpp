@@ -1,5 +1,5 @@
-// CP search: the symmetry rules, the clockwise first-pin split (the same
-// answer at every job count) and — the ground truth — verdict/objective
+// CP search: the symmetry rules, the split of both free policies over
+// their root units (the same answer at every job count) and — the ground truth — verdict/objective
 // parity between the default search, the unreduced search (cp_symmetry
 // off), the independent IQP model and an exhaustive oracle that shares no
 // code with the search, on randomized instances. The Learning* suite
@@ -28,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "support/executor.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "synth/cp_engine.hpp"
@@ -238,22 +239,21 @@ arch::PathSet innermost_paths(const arch::SwitchTopology& topo,
   return arch::PathSet(&topo, std::move(kept));
 }
 
-TEST(UnfixedParityTest, TwelveAndSixteenPinsMatchTheUnreducedSearch) {
-  // Ground truth for the unfixed rules on the larger crossbars: the module
-  // precedence chains together with the first binding over the verified
-  // rotation orbits (every shortest path kept) and over the quarter-turn
-  // fallback (the default cap). The default search and the unreduced one
-  // must agree on the verdict and, when feasible, the proven optimum.
-  //
-  // On the full path sets these instances are all feasible: an inlet and
-  // its outlets can take a run of adjacent boundary pins, apart from every
-  // other inlet. Restricted to paths through the innermost vertices and to
-  // one flow set, where every two inlets must stay vertex-disjoint, many
-  // are infeasible.
+/// Calls \p fn(topo, paths, spec, what) on the 12- and 16-pin unfixed fuzz:
+/// per crossbar, four path-set families (every shortest path, where the
+/// rotations verify, and the default cap, where only the identity does;
+/// each also restricted to the paths through the innermost vertices and to
+/// one flow set) and eight specs per family.
+///
+/// On the full path sets these instances are all feasible: an inlet and
+/// its outlets can take a run of adjacent boundary pins, apart from every
+/// other inlet. Restricted to paths through the innermost vertices and to
+/// one flow set, where every two inlets must stay vertex-disjoint, many
+/// are infeasible.
+template <typename Fn>
+void for_each_wide_unfixed_instance(Fn&& fn) {
   arch::PathEnumOptions all_shortest;
   all_shortest.max_paths_per_pair = 1 << 20;
-  int feasible = 0;
-  int infeasible = 0;
   for (const int k : {3, 4}) {
     const arch::SwitchTopology topo = arch::make_crossbar(k);
     const arch::PathSet rotations = arch::enumerate_paths(topo, all_shortest);
@@ -290,26 +290,41 @@ TEST(UnfixedParityTest, TwelveAndSixteenPinsMatchTheUnreducedSearch) {
                       static_cast<std::uint64_t>(k);
         ProblemSpec spec = cases::make_artificial(params);
         if (family.one_set) spec.max_sets = 1;
-        const std::string what = cat(family.name, " ", spec.name);
-        const auto reduced = solve_cp(topo, family.paths, spec, default_params());
-        const auto full = solve_cp(topo, family.paths, spec, unreduced_params());
-        ASSERT_EQ(reduced.ok(), full.ok())
-            << what << ": default="
-            << (reduced.ok() ? "ok" : reduced.status().to_string())
-            << " unreduced=" << (full.ok() ? "ok" : full.status().to_string());
-        if (!reduced.ok()) {
-          EXPECT_EQ(reduced.status().code(), StatusCode::kInfeasible) << what;
-          EXPECT_EQ(full.status().code(), StatusCode::kInfeasible) << what;
-          ++infeasible;
-          continue;
-        }
-        EXPECT_NEAR(reduced->objective, full->objective, 1e-6) << what;
-        EXPECT_TRUE(reduced->stats.proven_optimal) << what;
-        EXPECT_TRUE(full->stats.proven_optimal) << what;
-        ++feasible;
+        fn(topo, family.paths, spec, cat(family.name, " ", spec.name));
       }
     }
   }
+}
+
+TEST(UnfixedParityTest, TwelveAndSixteenPinsMatchTheUnreducedSearch) {
+  // Ground truth for the unfixed rules on the larger crossbars: the module
+  // precedence chains together with the first binding over the verified
+  // rotation orbits (every shortest path kept) and over the quarter-turn
+  // fallback (the default cap). The default search and the unreduced one
+  // must agree on the verdict and, when feasible, the proven optimum.
+  int feasible = 0;
+  int infeasible = 0;
+  for_each_wide_unfixed_instance([&](const arch::SwitchTopology& topo,
+                                     const arch::PathSet& paths,
+                                     const ProblemSpec& spec,
+                                     const std::string& what) {
+    const auto reduced = solve_cp(topo, paths, spec, default_params());
+    const auto full = solve_cp(topo, paths, spec, unreduced_params());
+    ASSERT_EQ(reduced.ok(), full.ok())
+        << what << ": default="
+        << (reduced.ok() ? "ok" : reduced.status().to_string())
+        << " unreduced=" << (full.ok() ? "ok" : full.status().to_string());
+    if (!reduced.ok()) {
+      EXPECT_EQ(reduced.status().code(), StatusCode::kInfeasible) << what;
+      EXPECT_EQ(full.status().code(), StatusCode::kInfeasible) << what;
+      ++infeasible;
+      return;
+    }
+    EXPECT_NEAR(reduced->objective, full->objective, 1e-6) << what;
+    EXPECT_TRUE(reduced->stats.proven_optimal) << what;
+    EXPECT_TRUE(full->stats.proven_optimal) << what;
+    ++feasible;
+  });
   EXPECT_EQ(feasible, 52);
   EXPECT_EQ(infeasible, 12);
 }
@@ -592,6 +607,102 @@ TEST(ExhaustiveOracleTest, CpAgreesOnSmallInstancesOfEveryPolicy) {
   }
 }
 
+/// A spine switch with \p junctions junctions at uneven pitches and \p pins
+/// pins on stubs of uneven length, the first pins one per junction and the
+/// rest on random junctions: an asymmetric switch (only the identity
+/// verifies) whose junctions carry several pins, so which flows meet
+/// depends on where each module sits. Clockwise order runs junction by
+/// junction. Every length is a whole number of micrometres.
+arch::SwitchTopology uneven_spine(std::uint64_t seed, int junctions, int pins) {
+  Rng rng(seed);
+  std::vector<arch::Vertex> vertices;
+  std::vector<arch::Segment> segments;
+  const auto add_vertex = [&](arch::VertexKind kind, std::string name) {
+    arch::Vertex v;
+    v.id = static_cast<int>(vertices.size());
+    v.kind = kind;
+    v.name = std::move(name);
+    v.pos = {100.0 * v.id, 0.0};
+    vertices.push_back(std::move(v));
+    return vertices.back().id;
+  };
+  const auto add_segment = [&](int a, int b, double length_um) {
+    arch::Segment s;
+    s.id = static_cast<int>(segments.size());
+    s.a = a;
+    s.b = b;
+    s.length_um = length_um;
+    s.name = cat(vertices[static_cast<std::size_t>(a)].name, "-",
+                 vertices[static_cast<std::size_t>(b)].name);
+    segments.push_back(std::move(s));
+  };
+  for (int j = 0; j < junctions; ++j) add_vertex(arch::VertexKind::kNode, cat("J", j));
+  for (int j = 0; j + 1 < junctions; ++j) {
+    add_segment(j, j + 1, 100.0 * rng.next_int(4, 16));
+  }
+  std::vector<std::vector<int>> pins_at(static_cast<std::size_t>(junctions));
+  for (int p = 0; p < pins; ++p) {
+    const int at = p < junctions ? p : rng.next_int(0, junctions - 1);
+    const int pin = add_vertex(arch::VertexKind::kPin, cat("P", p));
+    add_segment(at, pin, 100.0 * rng.next_int(3, 8));
+    pins_at[static_cast<std::size_t>(at)].push_back(pin);
+  }
+  std::vector<int> clockwise;
+  for (const std::vector<int>& at : pins_at) {
+    clockwise.insert(clockwise.end(), at.begin(), at.end());
+  }
+  return arch::SwitchTopology(arch::TopologyKind::kSpine, cat("uneven spine ", seed),
+                              std::move(vertices), std::move(segments),
+                              std::move(clockwise));
+}
+
+TEST(ExhaustiveOracleTest, BindingOrderMattersOnUnevenSpines) {
+  // Three single-flow inlets with mixed conflicts (one or two pairs, so
+  // some but not all inlet swaps keep the conflict relation) on 6-pin
+  // uneven spines. Pins sharing a junction force flows to meet, and the
+  // uneven lengths make each placement cost differently, so a precedence
+  // class that chained a non-interchangeable inlet would cut off the
+  // optimum: merging every pair of single-flow inlets into one class
+  // fails 34 of these 120 instances (30 by a false infeasible verdict, 4
+  // by a worse objective; EXPERIMENTS.md), where the older oracle and
+  // parity suites see only a node total move.
+  EngineParams params;
+  params.deadline = support::Deadline::after(60.0);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int v = 0; v < 120; ++v) {
+    const arch::SwitchTopology topo =
+        uneven_spine(100 + static_cast<std::uint64_t>(v), 2 + v % 3, 6);
+    const arch::PathSet paths = arch::enumerate_paths(topo);
+    ASSERT_FALSE(paths.pin_symmetries().nontrivial()) << topo.name();
+    cases::ArtificialParams shape;
+    shape.policy = BindingPolicy::kUnfixed;
+    shape.num_inlets = 3;
+    shape.num_outlets = 3;
+    shape.num_conflict_pairs = 1 + (v / 3) % 2;
+    shape.seed = 5100 + static_cast<std::uint64_t>(v) * 7;
+    const ProblemSpec spec = cases::make_artificial(shape);
+    const std::string what = cat(topo.name(), " ", spec.name);
+
+    const double expected = exhaustive_optimum(topo, paths, spec);
+    const auto got = solve_cp(topo, paths, spec, params);
+    if (expected == kNoDesign) {
+      ASSERT_FALSE(got.ok()) << what << ": cp found " << got->objective;
+      EXPECT_EQ(got.status().code(), StatusCode::kInfeasible) << what;
+      ++infeasible;
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().to_string()
+                          << ", oracle " << expected;
+    EXPECT_TRUE(got->stats.proven_optimal) << what;
+    EXPECT_NEAR(got->objective, expected, 1e-6) << what;
+    ++feasible;
+  }
+  // Both verdicts must occur to mean anything (at this seed: 102/18).
+  EXPECT_GE(feasible, 90);
+  EXPECT_GE(infeasible, 10);
+}
+
 TEST(WideMaskTest, GruChainPastSixtyFourVerticesSolvesAsBefore) {
   // An 8-unit GRU chain has 69 vertices, so each path's vertex mask takes
   // two words and the contamination check ANDs both. With 800 um of path
@@ -671,25 +782,27 @@ void expect_same_answer(const Result<SynthesisResult>& serial,
   EXPECT_EQ(serial->stats.proven_optimal, split->stats.proven_optimal) << what;
 }
 
-struct ClockwiseCase {
+struct SplitCase {
   const char* name;
-  ProblemSpec (*make)(BindingPolicy);  ///< called with kClockwise
+  ProblemSpec (*make)(BindingPolicy);  ///< called with the suite's policy
   /// Nodes the serial search explores; the split explores exactly as many
-  /// because the first subtree already holds the optimum. 0: not pinned.
+  /// because root unit 0 already holds the optimum. 0: not pinned.
   long nodes;
 };
 
 // Without this gtest lists the case as its raw bytes, pointers included,
 // so the test names ctest discovers would change from build to build.
-void PrintTo(const ClockwiseCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const SplitCase& c, std::ostream* os) { *os << c.name; }
 
-class ClockwiseSplitParityTest
-    : public ::testing::TestWithParam<ClockwiseCase> {};
+std::string split_case_name(const ::testing::TestParamInfo<SplitCase>& info) {
+  return info.param.name;
+}
 
-TEST_P(ClockwiseSplitParityTest, SameAnswerAtEveryJobCount) {
-  const ClockwiseCase& param = GetParam();
-  const ProblemSpec spec = param.make(BindingPolicy::kClockwise);
-  ASSERT_EQ(spec.policy, BindingPolicy::kClockwise);
+/// Solves \p param under \p policy at jobs 1, 2 and 4: the same answer
+/// each time, and the pinned node count at jobs 1 and 4.
+void expect_split_parity(const SplitCase& param, BindingPolicy policy) {
+  const ProblemSpec spec = param.make(policy);
+  ASSERT_EQ(spec.policy, policy);
   const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
   const arch::PathSet paths = arch::enumerate_paths(topo);
   const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
@@ -706,22 +819,26 @@ TEST_P(ClockwiseSplitParityTest, SameAnswerAtEveryJobCount) {
   }
 }
 
+class ClockwiseSplitParityTest : public ::testing::TestWithParam<SplitCase> {};
+
+TEST_P(ClockwiseSplitParityTest, SameAnswerAtEveryJobCount) {
+  expect_split_parity(GetParam(), BindingPolicy::kClockwise);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PaperCases, ClockwiseSplitParityTest,
     ::testing::Values(
-        ClockwiseCase{"chip1_cw", cases::chip_sw1, 76'855},
-        ClockwiseCase{"chip2_cw", cases::chip_sw2, 411'497},
-        ClockwiseCase{"kin1_cw", cases::kinase_sw1, 0},
-        ClockwiseCase{"kin2_cw", cases::kinase_sw2, 0},
-        ClockwiseCase{"na_cw", cases::nucleic_acid, 0},
-        ClockwiseCase{"mrna_cw", cases::mrna_isolation, 0},
-        ClockwiseCase{"mrna13_cw", cases::mrna_13, 767'273},
-        ClockwiseCase{"table42",
-                      [](BindingPolicy) { return cases::table42_example(); },
-                      246'496}),
-    [](const ::testing::TestParamInfo<ClockwiseCase>& info) {
-      return info.param.name;
-    });
+        SplitCase{"chip1_cw", cases::chip_sw1, 76'855},
+        SplitCase{"chip2_cw", cases::chip_sw2, 411'497},
+        SplitCase{"kin1_cw", cases::kinase_sw1, 0},
+        SplitCase{"kin2_cw", cases::kinase_sw2, 0},
+        SplitCase{"na_cw", cases::nucleic_acid, 0},
+        SplitCase{"mrna_cw", cases::mrna_isolation, 0},
+        SplitCase{"mrna13_cw", cases::mrna_13, 767'273},
+        SplitCase{"table42",
+                  [](BindingPolicy) { return cases::table42_example(); },
+                  246'496}),
+    split_case_name);
 
 TEST(ClockwiseSplitTest, FuzzInstancesSameAnswerAtEveryJobCount) {
   int compared = 0;
@@ -754,21 +871,30 @@ int count_subtree_spans(const std::string& trace) {
   return spans;
 }
 
+/// The cp.subtree spans a solve of \p spec on \p paths at jobs 4 opens,
+/// and its result.
+std::pair<int, Result<SynthesisResult>> subtree_spans(
+    const arch::SwitchTopology& topo, const arch::PathSet& paths,
+    const ProblemSpec& spec) {
+  auto& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
+  tracer.disable();
+  const int spans = count_subtree_spans(tracer.to_json());
+  tracer.reset();
+  return {spans, std::move(result)};
+}
+
 TEST(ClockwiseSplitTest, OnlyALargeFirstSubtreeStartsThePool) {
   // ChIP sw.2 explores 29,911 nodes under its first pin, so jobs 4 searches
   // the other 11 first pins on the pool, one cp.subtree span each; kinase
   // SW2 stays below the threshold and runs serially.
-  auto& tracer = obs::Tracer::instance();
-  const auto spans_of = [&](const ProblemSpec& spec) {
+  const auto spans_of = [](const ProblemSpec& spec) {
     const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
     const arch::PathSet paths = arch::enumerate_paths(topo);
-    tracer.reset();
-    tracer.enable();
-    const auto result = solve_cp(topo, paths, spec, params_with_jobs(4));
-    tracer.disable();
+    auto [spans, result] = subtree_spans(topo, paths, spec);
     EXPECT_TRUE(result.ok()) << result.status().to_string();
-    const int spans = count_subtree_spans(tracer.to_json());
-    tracer.reset();
     return spans;
   };
   const ProblemSpec large = cases::chip_sw2(BindingPolicy::kClockwise);
@@ -986,6 +1112,172 @@ TEST(ClockwiseSplitTest, CallerStopReachesTheWorkers) {
   ASSERT_FALSE(stopped.ok()) << "the split finished before the stop";
   EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout)
       << stopped.status().to_string();
+}
+
+// --- Unfixed root-unit split -----------------------------------------------
+//
+// Under the unfixed policy a root unit is one (source, destination) pin pair
+// of the first flow: the first-binding pins times the other pins, 33 units
+// on 12 pins. The calling thread counts the shared root node once, searches
+// unit 0, and hands units 1.. to the pool once unit 0 is large.
+
+class UnfixedSplitParityTest : public ::testing::TestWithParam<SplitCase> {};
+
+TEST_P(UnfixedSplitParityTest, SameAnswerAtEveryJobCount) {
+  expect_split_parity(GetParam(), BindingPolicy::kUnfixed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperCases, UnfixedSplitParityTest,
+    ::testing::Values(SplitCase{"chip1_un", cases::chip_sw1, 107'672},
+                      SplitCase{"chip2_un", cases::chip_sw2, 1'070'202},
+                      SplitCase{"na_un", cases::nucleic_acid, 810},
+                      SplitCase{"mrna_un", cases::mrna_isolation, 34'962},
+                      SplitCase{"kin1_un", cases::kinase_sw1, 8},
+                      SplitCase{"kin2_un", cases::kinase_sw2, 822}),
+    split_case_name);
+
+TEST(UnfixedSplitTest, FuzzInstancesSameAnswerAtEveryJobCount) {
+  // The 200-instance parity fuzz's unfixed instances and the 12-/16-pin
+  // unfixed fuzz, at jobs 1, 2 and 4. Five of them reach the threshold and
+  // split at jobs 4 (the count is deterministic: it follows node counts).
+  int compared = 0;
+  int split = 0;
+  const auto compare = [&](const arch::SwitchTopology& topo,
+                           const arch::PathSet& paths, const ProblemSpec& spec,
+                           const std::string& what) {
+    const auto serial = solve_cp(topo, paths, spec, params_with_jobs(1));
+    const auto two = solve_cp(topo, paths, spec, params_with_jobs(2));
+    auto [spans, four] = subtree_spans(topo, paths, spec);
+    expect_same_answer(serial, two, what + " jobs 2");
+    expect_same_answer(serial, four, what + " jobs 4");
+    if (serial.ok()) {
+      EXPECT_EQ(two->stats.nodes, four->stats.nodes) << what;
+    }
+    ++compared;
+    split += spans > 0 ? 1 : 0;
+  };
+  for (int v = 0; v < 200; ++v) {
+    const cases::ArtificialParams params = fuzz_case(v);
+    if (params.policy != BindingPolicy::kUnfixed) continue;
+    const ProblemSpec spec = cases::make_artificial(params);
+    const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
+    const arch::PathSet paths = arch::enumerate_paths(topo);
+    compare(topo, paths, spec, spec.name);
+  }
+  for_each_wide_unfixed_instance(compare);
+  EXPECT_EQ(compared, 66 + 64);  // v = 2, 5, ..., 197; 2 x 4 x 8 wide
+  EXPECT_EQ(split, 5);
+}
+
+TEST(UnfixedSplitTest, OnlyALargeUnitZeroStartsThePool) {
+  // ChIP SW1 unfixed explores more than 4,096 nodes in its root and unit 0,
+  // so jobs 4 searches the other 32 of its 33 units (3 first-binding pins x
+  // 11 destination pins) on the pool, one cp.subtree span each. Kinase SW2
+  // stays below the threshold. So does this 8-pin spec the size of the
+  // perfbench serve_zipf pool's largest (its unfixed entry serve33): 8,116
+  // nodes in all but 1,531 by the end of unit 0. A count of every node so
+  // far would start a pool while serving.
+  const auto model_spans = [](const ProblemSpec& spec) {
+    const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
+    auto [spans, result] = subtree_spans(model.topology, model.paths, spec);
+    EXPECT_TRUE(result.ok()) << spec.name << ": " << result.status().to_string();
+    return std::pair{spans, result.ok() ? result->stats.nodes : -1};
+  };
+  EXPECT_EQ(model_spans(cases::chip_sw1(BindingPolicy::kUnfixed)).first, 32);
+  EXPECT_EQ(model_spans(cases::kinase_sw2(BindingPolicy::kUnfixed)).first, 0);
+  cases::ArtificialParams serve33;
+  serve33.pins_per_side = 2;
+  serve33.policy = BindingPolicy::kUnfixed;
+  serve33.num_inlets = 3;
+  serve33.num_outlets = 5;
+  serve33.num_conflict_pairs = 0;
+  serve33.seed = 90033;
+  EXPECT_EQ(model_spans(cases::make_artificial(serve33)), std::pair(0, 8'116L));
+}
+
+TEST(UnfixedSplitTest, DoneCountsNodesPerPositionAndUnits) {
+  // cp.done says where the proof went: nodes per flow-order position (the
+  // last entry counts leaves), summed over the units, and how many root
+  // units there were and ran on the pool. The root is counted once.
+  const ProblemSpec spec = cases::chip_sw1(BindingPolicy::kUnfixed);
+  const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
+  auto& tracer = obs::Tracer::instance();
+  const auto done_at = [&](int jobs) {
+    tracer.reset();
+    tracer.enable();
+    const auto result =
+        solve_cp(model.topology, model.paths, spec, params_with_jobs(jobs));
+    tracer.disable();
+    EXPECT_TRUE(result.ok()) << result.status().to_string();
+    json::Value done = done_args(tracer.to_json());
+    tracer.reset();
+    return done;
+  };
+  const json::Value serial = done_at(1);
+  const json::Value split = done_at(4);
+  const std::vector<long> expected = {1, 106, 4'984, 12'400, 15'300, 74'880, 1};
+  for (const json::Value* done : {&serial, &split}) {
+    const json::Value* by_pos = done->find("nodes_by_pos");
+    ASSERT_NE(by_pos, nullptr);
+    ASSERT_TRUE(by_pos->is_array());
+    std::vector<long> counts;
+    for (const json::Value& n : by_pos->as_array()) {
+      counts.push_back(static_cast<long>(n.as_number()));
+    }
+    EXPECT_EQ(counts, expected);
+    long sum = 0;
+    for (const long n : counts) sum += n;
+    EXPECT_EQ(sum, static_cast<long>(done->get_number("nodes", -1)));
+    EXPECT_EQ(done->get_number("units", -1), 33);
+  }
+  EXPECT_EQ(serial.get_number("pool_units", -1), 0);
+  EXPECT_EQ(split.get_number("pool_units", -1), 32);
+}
+
+TEST(UnfixedSplitTest, CallerStopReachesTheWorkers) {
+  // This 16-pin unfixed spec, searched without the symmetry rules, has
+  // 240 root units (16 source x 15 destination pins). Unit 0 takes about
+  // 0.3 s (409,631 nodes) and the others far longer than the test waits on
+  // four workers (Release), so the stop, sent as soon as the flight
+  // recorder holds a worker's cp.subtree span, lands while the workers
+  // search.
+  cases::ArtificialParams params;
+  params.pins_per_side = 4;
+  params.num_inlets = 2;
+  params.num_outlets = 7;
+  params.num_conflict_pairs = 2;
+  params.policy = BindingPolicy::kUnfixed;
+  params.seed = 1002;
+  const ProblemSpec spec = cases::make_artificial(params);
+  const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
+
+  auto& recorder = obs::FlightRecorder::instance();
+  recorder.reset();
+  recorder.enable();
+  support::StopSource source;
+  EngineParams p = params_with_jobs(4);
+  p.cp_symmetry = false;
+  p.stop = source.token();
+  Result<SynthesisResult> stopped{Status::Internal("not run")};
+  std::thread worker(
+      [&] { stopped = solve_cp(model.topology, model.paths, spec, p); });
+  // The cp.solve span's begin record, then the first worker's cp.subtree.
+  while (recorder.record_count() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Timer timer;
+  source.request_stop();
+  worker.join();
+  recorder.disable();
+  recorder.reset();
+  EXPECT_LT(timer.seconds(), 5.0);
+  if (stopped.ok()) {
+    EXPECT_FALSE(stopped->stats.proven_optimal);
+  } else {
+    EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout)
+        << stopped.status().to_string();
+  }
 }
 
 }  // namespace

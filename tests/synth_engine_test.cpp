@@ -231,8 +231,9 @@ struct CaseParam {
   ProblemSpec (*make)(BindingPolicy);
   BindingPolicy policy;
   /// CP nodes of the solve; 0: not pinned. Pinned for every unfixed case:
-  /// that search runs serially, so its count is deterministic, and any
-  /// change to pruning moves it.
+  /// its count is deterministic and the serial one at every job count (the
+  /// split's root unit 0 holds the optimum), and any change to pruning
+  /// moves it.
   long nodes = 0;
 };
 

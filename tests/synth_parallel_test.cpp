@@ -1,7 +1,7 @@
 // Tests for the parallel synthesis surface: the engine registry, deadline
 // and stop-token semantics of the engines, and the batch sweep runner. The
-// cp engine's clockwise first-pin split has its parity suite in
-// cp_search_test.cpp.
+// cp engine's split of the free policies over their root units has its
+// parity suites in cp_search_test.cpp.
 
 #include <gtest/gtest.h>
 

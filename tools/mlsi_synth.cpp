@@ -7,9 +7,10 @@
 //   --policy fixed|clockwise|unfixed   override the case's binding policy
 //   --engine cp|iqp                    synthesis engine (default cp)
 //   --jobs N                           worker threads for a large clockwise
-//                                      cp solve, which splits its first-pin
-//                                      loop and returns the serial answer
-//                                      (default 0 = all hardware threads)
+//                                      or unfixed cp solve, which splits
+//                                      its root units and returns the
+//                                      serial answer (default 0 = all
+//                                      hardware threads)
 //   --time-limit <seconds>             wall budget (default 120)
 //   --pressure off|greedy|ilp          pressure sharing (default ilp)
 //   --cp-symmetry on|off               binding symmetry breaking (unfixed)
