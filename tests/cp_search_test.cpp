@@ -1,10 +1,10 @@
 // CP search: the symmetry rules, the split of both free policies over
-// their root units (the same answer at every job count) and — the ground truth — verdict/objective
-// parity between the default search, the unreduced search (cp_symmetry
-// off), the independent IQP model and an exhaustive oracle that shares no
-// code with the search, on randomized instances. The Learning* suite
-// names predate the removal of nogood learning from the search; they are
-// kept so the test IDs stay stable.
+// their root units (the same answer at every job count) and — the ground
+// truth — verdict/objective parity between the default search, the
+// unreduced search (cp_symmetry off), the independent IQP model and an
+// exhaustive oracle that shares no code with the search, on randomized
+// instances. The Learning* suite names predate the removal of nogood
+// learning from the search; they are kept so the test IDs stay stable.
 
 #include <gtest/gtest.h>
 
@@ -612,7 +612,9 @@ TEST(ExhaustiveOracleTest, CpAgreesOnSmallInstancesOfEveryPolicy) {
 /// rest on random junctions: an asymmetric switch (only the identity
 /// verifies) whose junctions carry several pins, so which flows meet
 /// depends on where each module sits. Clockwise order runs junction by
-/// junction. Every length is a whole number of micrometres.
+/// junction. Every length is a whole number of micrometres. It is built as
+/// a spine, so the search's first binding ranges over every pin (the
+/// quarter-turn fallback is for crossbars, whose rotations it assumes).
 arch::SwitchTopology uneven_spine(std::uint64_t seed, int junctions, int pins) {
   Rng rng(seed);
   std::vector<arch::Vertex> vertices;
@@ -636,7 +638,9 @@ arch::SwitchTopology uneven_spine(std::uint64_t seed, int junctions, int pins) {
                  vertices[static_cast<std::size_t>(b)].name);
     segments.push_back(std::move(s));
   };
-  for (int j = 0; j < junctions; ++j) add_vertex(arch::VertexKind::kNode, cat("J", j));
+  for (int j = 0; j < junctions; ++j) {
+    add_vertex(arch::VertexKind::kNode, cat("J", j));
+  }
   for (int j = 0; j + 1 < junctions; ++j) {
     add_segment(j, j + 1, 100.0 * rng.next_int(4, 16));
   }
@@ -651,9 +655,9 @@ arch::SwitchTopology uneven_spine(std::uint64_t seed, int junctions, int pins) {
   for (const std::vector<int>& at : pins_at) {
     clockwise.insert(clockwise.end(), at.begin(), at.end());
   }
-  return arch::SwitchTopology(arch::TopologyKind::kSpine, cat("uneven spine ", seed),
-                              std::move(vertices), std::move(segments),
-                              std::move(clockwise));
+  return arch::SwitchTopology(arch::TopologyKind::kSpine,
+                              cat("uneven spine ", seed), std::move(vertices),
+                              std::move(segments), std::move(clockwise));
 }
 
 TEST(ExhaustiveOracleTest, BindingOrderMattersOnUnevenSpines) {
