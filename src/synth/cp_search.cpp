@@ -131,9 +131,6 @@ class CpSearch {
   /// Searches root unit \p u. Unfixed units share the root node, which
   /// search_free() counts once.
   void search_unit(int u);
-  /// Clockwise policy: searches every binding whose first module (in the
-  /// cyclic order) sits on pin \p p0.
-  void search_first_pin(int p0);
   /// Searches root units 1..units_-1 on \p jobs workers, each from a reset
   /// state bounded by the current incumbent, then folds them in unit order.
   /// The answer is the serial search's.
@@ -784,12 +781,6 @@ void CpSearch::enumerate_clockwise(std::vector<int>& pin_of_order,
   }
 }
 
-void CpSearch::search_first_pin(int p0) {
-  std::vector<int> pin_of_order(static_cast<std::size_t>(spec_.num_modules()));
-  pin_of_order[0] = p0;
-  enumerate_clockwise(pin_of_order, 1);
-}
-
 int CpSearch::num_units() const {
   if (spec_.policy == BindingPolicy::kClockwise) return num_pins_;
   return static_cast<int>(first_pins_.size()) * (num_pins_ - 1);
@@ -797,7 +788,10 @@ int CpSearch::num_units() const {
 
 void CpSearch::search_unit(int u) {
   if (spec_.policy == BindingPolicy::kClockwise) {
-    search_first_pin(u);
+    // Every binding whose first module (in the cyclic order) sits on pin u.
+    std::vector<int> pin_of_order(static_cast<std::size_t>(spec_.num_modules()));
+    pin_of_order[0] = u;
+    enumerate_clockwise(pin_of_order, 1);
     return;
   }
   // The root's expansion, dfs(0)'s pin loops cut to one (source,
