@@ -155,6 +155,18 @@ PathSet::PathSet(const SwitchTopology* topo, std::vector<Path> paths)
     by_pair_[static_cast<std::size_t>(fi) * n_pins + static_cast<std::size_t>(ti)]
         .push_back(p.id);
   }
+  for (int s = 0; s < topo_->num_segments(); ++s) {
+    const double len = topo_->segment(s).length_um;
+    auto cls = std::find_if(
+        length_classes_.begin(), length_classes_.end(),
+        [len](const SegmentLengthClass& c) { return c.length_um == len; });
+    if (cls == length_classes_.end()) {
+      cls = length_classes_.insert(
+          length_classes_.end(),
+          SegmentLengthClass{len, std::vector<std::uint64_t>(segment_words, 0)});
+    }
+    cls->mask[static_cast<std::size_t>(s) / 64] |= std::uint64_t{1} << (s % 64);
+  }
   symmetries_ = compute_pin_symmetries(*topo_, paths_);
 }
 

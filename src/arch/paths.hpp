@@ -20,6 +20,8 @@
 /// per path (one each on every crossbar, which has at most 41 vertices and
 /// 56 segments), so a search tests two paths for a shared vertex with one
 /// AND per word, and counts the segments a path adds to a union by popcount.
+/// The segments grouped by length, as masks of the same layout, price those
+/// segments: one popcount per length class.
 
 #include <cstdint>
 #include <span>
@@ -49,6 +51,14 @@ struct Path {
   [[nodiscard]] bool uses_segment(int s) const;
 };
 
+/// The segments of one length: bit s % 64 of word s / 64 of \p mask
+/// (PathSet::segment_mask() layout) is set exactly when segment s is
+/// \p length_um long.
+struct SegmentLengthClass {
+  double length_um = 0.0;
+  std::vector<std::uint64_t> mask;
+};
+
 struct PathEnumOptions {
   /// Extra length allowed above the pair's shortest distance (micrometres).
   /// 0 keeps exactly the shortest paths, as in the paper.
@@ -61,8 +71,9 @@ struct PathEnumOptions {
 /// All candidate paths of a topology.
 class PathSet {
  public:
-  /// Indexes \p paths, builds their vertex and segment masks and verifies
-  /// the pin symmetries of (topology, paths).
+  /// Indexes \p paths, builds their vertex and segment masks and the
+  /// segment length classes, and verifies the pin symmetries of (topology,
+  /// paths).
   PathSet(const SwitchTopology* topo, std::vector<Path> paths);
 
   [[nodiscard]] const SwitchTopology& topology() const { return *topo_; }
@@ -102,6 +113,12 @@ class PathSet {
                     static_cast<std::size_t>(segment_mask_words_),
             static_cast<std::size_t>(segment_mask_words_)};
   }
+  /// The topology's segments grouped by exact length, one class per
+  /// distinct length in order of first segment id: two on every crossbar
+  /// (500-um pin stubs, 800-um grid edges).
+  [[nodiscard]] const std::vector<SegmentLengthClass>& length_classes() const {
+    return length_classes_;
+  }
 
   /// The plane symmetries that map the topology and this path set onto
   /// themselves, verified once at construction (symmetry.hpp).
@@ -120,6 +137,7 @@ class PathSet {
   int segment_mask_words_ = 1;
   /// segment_mask_words_ words per path, by id
   std::vector<std::uint64_t> segment_masks_;
+  std::vector<SegmentLengthClass> length_classes_;
   PinSymmetries symmetries_;
 };
 

@@ -72,13 +72,6 @@ struct Incumbent {
   int sets_used = 0;
 };
 
-/// A length class of segments: every segment whose bit is set in mask
-/// (PathSet::segment_mask layout) is length_um long.
-struct LengthClass {
-  double length_um = 0.0;
-  std::vector<std::uint64_t> mask;
-};
-
 /// True when relabeling the modules by \p perm maps the flow set and the
 /// inlet-level conflict pairs (the relation the search enforces, see
 /// ProblemSpec::flows_conflict) onto themselves. Such a relabeling sends
@@ -118,8 +111,6 @@ class CpSearch {
   /// Unfixed policy with cp_symmetry: fills chain_pred_ from the classes of
   /// interchangeable modules, after flow_order_ and first_pins_ are set.
   void build_precedence_chains();
-  /// Splits the segments into length classes for added_length_um().
-  void build_length_classes();
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
   /// Free policies: searches root units 0.. in order; once unit 0 is large,
   /// units 1.. go to a pool (split_units).
@@ -153,12 +144,10 @@ class CpSearch {
   void bind(int module, int pin) {
     module_pin_[static_cast<std::size_t>(module)] = pin;
     pin_module_[static_cast<std::size_t>(pin)] = module;
-    ++bound_modules_;
   }
   void unbind(int module, int pin) {
     module_pin_[static_cast<std::size_t>(module)] = -1;
     pin_module_[static_cast<std::size_t>(pin)] = -1;
-    --bound_modules_;
   }
   [[nodiscard]] double union_len_mm() const { return union_len_um_ / 1000.0; }
   [[nodiscard]] double partial_cost(int sets) const {
@@ -218,13 +207,10 @@ class CpSearch {
   /// stub by one module's flows, so each contributes once and only after
   /// its flow/module first routes.
   std::vector<double> suffix_bound_um_;
-  /// The segments grouped by length, for added_length_um().
-  std::vector<LengthClass> length_classes_;
 
   // Mutable search state.
   std::vector<int> module_pin_;  ///< module -> pin index or -1
   std::vector<int> pin_module_;  ///< pin index -> module or -1
-  int bound_modules_ = 0;
   std::vector<int> chosen_path_;  ///< per order position, path id
   std::vector<int> chosen_set_;   ///< per order position
   double union_len_um_ = 0.0;
@@ -314,7 +300,6 @@ void CpSearch::prepare() {
   forbid_.resize(flow_order_.size() * mask_words_);
   owned_.resize(flow_order_.size() * num_vertices_);
   union_.assign((flow_order_.size() + 1) * segment_words_, 0);
-  build_length_classes();
   tally_.nodes_by_pos.assign(flow_order_.size() + 1, 0);
 
   // Symmetry breaking (unfixed policy), two rules. The first binding ranges
@@ -500,28 +485,13 @@ void CpSearch::rebuild_order_tables() {
   }
 }
 
-void CpSearch::build_length_classes() {
-  length_classes_.clear();
-  for (int sid = 0; sid < topo_.num_segments(); ++sid) {
-    const double len = topo_.segment(sid).length_um;
-    auto cls = std::find_if(length_classes_.begin(), length_classes_.end(),
-                            [len](const LengthClass& c) { return c.length_um == len; });
-    if (cls == length_classes_.end()) {
-      cls = length_classes_.insert(
-          length_classes_.end(),
-          LengthClass{len, std::vector<std::uint64_t>(segment_words_, 0)});
-    }
-    cls->mask[static_cast<std::size_t>(sid) / 64] |= std::uint64_t{1} << (sid % 64);
-  }
-}
-
 double CpSearch::added_length_um(int pid, const std::uint64_t* used) const {
   // Where every length is an integer (every crossbar: 800-um grid edges,
   // 500-um stubs), each partial sum is an integer double, so this equals a
   // segment-by-segment sum to the bit, in any order.
   const std::span<const std::uint64_t> segs = paths_.segment_mask(pid);
   double add = 0.0;
-  for (const LengthClass& cls : length_classes_) {
+  for (const arch::SegmentLengthClass& cls : paths_.length_classes()) {
     int count = 0;
     for (std::size_t w = 0; w < segment_words_; ++w) {
       count += std::popcount(segs[w] & cls.mask[w] & ~used[w]);
@@ -695,22 +665,17 @@ void CpSearch::dfs(int pos) {
     for (std::size_t w = 0; w < mask_words_; ++w) forbid[w] |= mask[w];
   }
 
-  // Source pins: the bound one, else the first binding's (every pin is
-  // free then), else every free pin. Destination pins: the bound one, else
-  // every pin still free. Both in pin order, and above the pin of the
-  // module's chain predecessor, if any.
+  // Source pins: the bound one, else every pin still free; the same for
+  // destination pins. Both in pin order, and above the pin of the module's
+  // chain predecessor, if any. (The first binding, over first_pins_ only, is
+  // search_unit's: dfs runs below the unfixed root.)
   const int src_pin = module_pin_[static_cast<std::size_t>(fs.src_module)];
   const int dst_pin = module_pin_[static_cast<std::size_t>(fs.dst_module)];
   const int src_floor = src_pin < 0 ? chain_floor(fs.src_module) : -1;
   const int dst_floor = dst_pin < 0 ? chain_floor(fs.dst_module) : -1;
-  const bool first_binding = src_pin < 0 && bound_modules_ == 0;
-  const int num_src = src_pin >= 0    ? 1
-                      : first_binding ? static_cast<int>(first_pins_.size())
-                                      : num_pins_;
+  const int num_src = src_pin >= 0 ? 1 : num_pins_;
   for (int i = 0; i < num_src && !truncated_; ++i) {
-    const int sp = src_pin >= 0    ? src_pin
-                   : first_binding ? first_pins_[static_cast<std::size_t>(i)]
-                                   : i;
+    const int sp = src_pin >= 0 ? src_pin : i;
     if (src_pin < 0) {
       if (pin_module_[static_cast<std::size_t>(sp)] != -1) continue;
       if (sp < src_floor) {
@@ -744,13 +709,9 @@ void CpSearch::dfs(int pos) {
 void CpSearch::run_fixed_binding(const std::vector<int>& module_pin_idx) {
   module_pin_ = module_pin_idx;
   std::fill(pin_module_.begin(), pin_module_.end(), -1);
-  bound_modules_ = 0;
   for (int m = 0; m < spec_.num_modules(); ++m) {
     const int p = module_pin_idx[static_cast<std::size_t>(m)];
-    if (p >= 0) {
-      pin_module_[static_cast<std::size_t>(p)] = m;
-      ++bound_modules_;
-    }
+    if (p >= 0) pin_module_[static_cast<std::size_t>(p)] = m;
   }
   dfs(0);
 }
@@ -794,12 +755,13 @@ void CpSearch::search_unit(int u) {
     enumerate_clockwise(pin_of_order, 1);
     return;
   }
-  // The root's expansion, dfs(0)'s pin loops cut to one (source,
-  // destination) pair, in the same order: source over first_pins_, then
-  // destination over the other pins. Nothing is bound yet, and neither
-  // module has a chain floor: the first-bound module heads its chain or
-  // is left out of it (condition 2), and an outlet class never holds an
-  // inlet. No earlier flow conflicts, so no vertex is forbidden.
+  // The unfixed root binds the first flow's source to a pin of first_pins_
+  // and its destination to any other pin, and routes the flow; unit u is
+  // one such pair, units ascending by source, then destination. Nothing is
+  // bound before, and neither module has a chain floor: the first-bound
+  // module heads its chain or is left out of it (condition 2), and an
+  // outlet class never holds an inlet. No earlier flow conflicts, so no
+  // vertex is forbidden. route() descends into dfs(1).
   const int sp = first_pins_[static_cast<std::size_t>(u / (num_pins_ - 1))];
   const int other = u % (num_pins_ - 1);
   const int dp = other < sp ? other : other + 1;

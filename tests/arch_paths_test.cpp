@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -162,7 +163,9 @@ TEST(PathsTest, SegmentMasksHoldExactlyThePathSegments) {
   } cases[] = {{x8, {}, 20, 1}, {x12, {}, 36, 1}, {x16, {}, 56, 1},
                {chain, slack, 0, 2}};
   for (const auto& c : cases) {
-    if (c.segments > 0) EXPECT_EQ(c.topo.num_segments(), c.segments);
+    if (c.segments > 0) {
+      EXPECT_EQ(c.topo.num_segments(), c.segments);
+    }
     const PathSet paths = enumerate_paths(c.topo, c.options);
     ASSERT_EQ(paths.segment_mask_words(), c.words) << c.topo.name();
     for (const Path& p : paths.paths()) {
@@ -174,6 +177,45 @@ TEST(PathsTest, SegmentMasksHoldExactlyThePathSegments) {
         EXPECT_EQ(bit, s < c.topo.num_segments() && p.uses_segment(s))
             << "path " << p.id << " segment " << s;
       }
+    }
+  }
+}
+
+TEST(PathsTest, LengthClassesPartitionTheSegmentsByLength) {
+  // Each segment sits in exactly one class, the one of its exact length,
+  // and no two classes share a length. Every crossbar has two: 500-um pin
+  // stubs and 800-um grid edges.
+  const SwitchTopology x8 = make_crossbar(2);
+  const SwitchTopology x16 = make_crossbar(4);
+  const SwitchTopology chain = make_gru(8);
+  for (const SwitchTopology* topo : {&x8, &x16, &chain}) {
+    const PathSet paths = enumerate_paths(*topo);
+    const auto& classes = paths.length_classes();
+    std::vector<double> lengths;
+    for (const SegmentLengthClass& cls : classes) {
+      ASSERT_EQ(cls.mask.size(),
+                static_cast<std::size_t>(paths.segment_mask_words()));
+      lengths.push_back(cls.length_um);
+    }
+    std::sort(lengths.begin(), lengths.end());
+    EXPECT_EQ(std::adjacent_find(lengths.begin(), lengths.end()), lengths.end())
+        << topo->name();
+    if (topo != &chain) {
+      EXPECT_EQ(lengths, (std::vector<double>{500.0, 800.0})) << topo->name();
+    }
+    for (int s = 0; s < 64 * paths.segment_mask_words(); ++s) {
+      int holders = 0;
+      for (const SegmentLengthClass& cls : classes) {
+        if (((cls.mask[static_cast<std::size_t>(s) / 64] >> (s % 64)) & 1) == 0) {
+          continue;
+        }
+        ++holders;
+        ASSERT_LT(s, topo->num_segments()) << topo->name();  // no padding bit
+        EXPECT_EQ(cls.length_um, topo->segment(s).length_um)
+            << topo->name() << " segment " << s;
+      }
+      EXPECT_EQ(holders, s < topo->num_segments() ? 1 : 0)
+          << topo->name() << " segment " << s;
     }
   }
 }
