@@ -12,9 +12,9 @@
 /// first one whose cheapest set choice fails the bound ends the candidate
 /// loop — exactly, since every later placement would fail it too. The
 /// added length comes from PathSet::segment_mask() and the union of the
-/// placed paths' masks, one popcount per segment length class. The
-/// contamination check ANDs each candidate's PathSet::vertex_mask() with
-/// the OR of the conflicting earlier flows' masks, built once per node.
+/// placed paths' masks, one popcount per PathSet::length_classes() entry.
+/// The contamination check ANDs each candidate's PathSet::vertex_mask()
+/// with the OR of the conflicting earlier flows' masks, built once per node.
 /// Candidate lists, conflict masks, segment unions and undo lists live in
 /// per-depth buffers sized once per search, so a node allocates nothing.
 /// The search tallies why it pruned (bound, early breaks, owner clashes,
