@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verification: full build + test suite, a bench smoke run against a
+# Tier-1 verification: full build + test suite, the CP search's popcounts
+# compiled to the instruction (no libgcc call), a bench smoke run against a
 # known optimum, perf smokes (devex pivot count, serving cache speedup), an
 # observability smoke run (trace/metrics formats validated by obs_check,
 # the search-event instants present in the trace), a serving replay
@@ -30,6 +31,19 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+# The CP node loop prices every candidate with popcounts. Where the
+# compiler accepts -mpopcnt (x86-64) the library builds with it, and
+# std::popcount must be the instruction, not a call into libgcc's
+# __popcountdi2. In an object file a call's target is a relocation, so
+# the disassembly needs -r to name it.
+if grep -q '^MLSI_CXX_HAS_MPOPCNT:INTERNAL=1$' build/CMakeCache.txt; then
+    cp_obj=build/src/synth/CMakeFiles/mlsi_synth.dir/cp_search.cpp.o
+    if objdump -dr "$cp_obj" | grep -q '__popcountdi2'; then
+        echo "check.sh: $cp_obj calls __popcountdi2" >&2
+        exit 1
+    fi
+fi
+
 # Bench smoke: chip_sw1/clockwise must still hit its proven optimum (1012.0)
 # and pass the contamination-free flow simulation.
 build/bench/table_4_1 --smoke
@@ -58,8 +72,9 @@ build/bench/cp_unfixed --smoke
 # loop over 4 workers, with both obs output flags, then the format
 # validator (trace = Chrome trace JSON array whose instants carry object
 # "args", metrics keys declared in scripts/metrics_schema.json). The CP
-# search events are trace instants: this run emits one cp.incumbent and
-# one cp.done. (The MILP's milp.* instants are asserted by opt_milp_test's
+# search events are trace instants: this run emits one cp.incumbent, one
+# cp.split (the handoff of root units 1.. to the pool) and one cp.done.
+# (The MILP's milp.* instants are asserted by opt_milp_test's
 # MilpTest.SearchEventsAreTraceInstants: an IQP run long enough to emit
 # them takes too long for a smoke.)
 obs_dir="$(mktemp -d)"
@@ -72,7 +87,7 @@ build/tools/obs_check \
     --trace "$obs_dir/trace.json" \
     --metrics "$obs_dir/metrics.json" \
     --schema scripts/metrics_schema.json
-for ev in cp.incumbent cp.done; do
+for ev in cp.incumbent cp.split cp.done; do
     grep -q "\"name\":\"$ev\",\"cat\":\"mlsi\",\"ph\":\"i\"" \
         "$obs_dir/trace.json" || {
         echo "check.sh: trace has no $ev instant" >&2; exit 1; }
@@ -188,10 +203,11 @@ build-asan/tests/fuzz_boundaries_test
 # one word (crossbars) and of two (the 69-vertex GRU chain), over the
 # 200-instance parity fuzz, the 12- and 16-pin unfixed parity fuzz (module
 # precedence chains), the exhaustive oracle and the unfixed split's suites
-# (worker states reset between root units).
+# (worker states reset between root units) and the handoff's (the calling
+# thread's state reused for handed-off units after unit 0).
 build-asan/tests/arch_paths_test
 build-asan/tests/cp_search_test \
-    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:UnfixedParityTest.*:ExhaustiveOracleTest.*:LearningDeterminismTest.*:WideMaskTest.*:*UnfixedSplit*'
+    --gtest_filter='SymmetryTest.*:LearningParityTest.TwoHundred*:UnfixedParityTest.*:ExhaustiveOracleTest.*:LearningDeterminismTest.*:WideMaskTest.*:*UnfixedSplit*:SplitHandoffTest.*'
 
 cmake -B build-tsan -S . -DMLSI_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
@@ -212,7 +228,9 @@ build-tsan/tests/synth_parallel_test
 # The split of both free policies over their root units (clockwise first
 # pins, unfixed first-flow pin pairs): the same answer at jobs 1/2/4 with
 # real worker threads (the paper cases above the split threshold
-# included), and a caller's stop reaching the workers.
+# included), a caller's stop reaching the workers, and the handoff
+# (SplitHandoffTest: the pool starting inside unit 0, while the calling
+# thread finishes it and then takes units from the workers' counter).
 build-tsan/tests/cp_search_test --gtest_filter='*Split*'
 # Obs enabled under TSan: per-thread trace buffers (spans and the search
 # instants, recorded from the split's worker threads) and metrics atomics

@@ -57,7 +57,13 @@ struct Segment {
   [[nodiscard]] bool touches(int v) const { return v == a || v == b; }
 };
 
-/// How the switch was constructed (affects rendering and reports only).
+/// How the switch was constructed. Rendering and reports read it, and so
+/// does the CP search: when the path set verifies only the identity
+/// symmetry, a kCrossbar switch's unfixed first binding falls back to the
+/// pins of its first side (the quarter-turn rule, unverified on that path
+/// set), while other kinds keep every pin (CpSearch::prepare, DESIGN.md
+/// "CP search symmetry breaking"). A switch built by hand with kind
+/// kCrossbar but without a crossbar's rotations would get that rule too.
 enum class TopologyKind { kCrossbar, kSpine, kGru };
 
 /// \brief Immutable switch netlist with adjacency and name lookup.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -25,14 +26,20 @@ constexpr double kObjEps = 1e-9;
 /// or one root unit of the split); past it the search stops and reports
 /// itself truncated, like an expired deadline.
 constexpr long kMaxNodes = 500'000'000;
-/// A free-policy solve with jobs > 1 searches root units 1.. on a pool only
-/// when unit 0 explored at least this many nodes (with the unfixed root).
+/// A free-policy solve with jobs > 1 hands root units 1.. to a pool only
+/// once unit 0 reaches this many nodes (with the unfixed root): at that
+/// node if unit 0 holds an incumbent by then, else at unit 0's end.
 /// Measured on the perfbench serve_zipf pool: its clockwise specs explore
 /// at most 1,790 nodes in unit 0 (2,629 in a whole solve) and its unfixed
 /// specs at most 1,531 (8,116), so serving stays serial, while every hard
 /// case splits. Only unit 0 counts: a whole-solve count would start pools
 /// while serving.
 constexpr long kSplitMinNodes = 4096;
+/// A search state reads the deadline's clock on its first node and every
+/// this many nodes after (a read per node made a serial proof about 45%
+/// slower); the stop token, one relaxed load, is read on every node.
+constexpr long kDeadlinePollNodes = 1024;
+static_assert((kDeadlinePollNodes & (kDeadlinePollNodes - 1)) == 0);
 
 /// What a search state counted, summed over the split's units. Reported as
 /// args of the cp.done trace instant.
@@ -61,8 +68,8 @@ struct Tally {
 };
 
 /// The best design a search state has found. obj is also the bound the
-/// search prunes against: a root unit on the pool starts from unit 0's
-/// objective with found = false.
+/// search prunes against: a handed-off root unit starts from the objective
+/// unit 0 held at the handoff, with found = false.
 struct Incumbent {
   double obj = kInf;
   bool found = false;
@@ -70,6 +77,38 @@ struct Incumbent {
   std::vector<int> path;        ///< by flow id
   std::vector<int> set;         ///< by flow id
   int sets_used = 0;
+};
+
+/// What the search of one root unit left.
+struct UnitOutcome {
+  Tally tally;
+  bool truncated = false;
+  Incumbent best;
+};
+
+/// Root units 1.. once handed off. The pool's workers and, after unit 0,
+/// the calling thread take them from one counter, each unit searched from
+/// the bound held at the handoff, and leave their outcomes by unit.
+struct HandedOff {
+  HandedOff(int units, double bound)
+      : units(units),
+        bound(bound),
+        outcomes(static_cast<std::size_t>(units)),
+        errors(static_cast<std::size_t>(units)) {}
+  /// Runs when the caller unwinds too: no worker takes another unit, and
+  /// the pool, declared last, joins them before the rest goes.
+  ~HandedOff() { next_unit = units; }
+  HandedOff(const HandedOff&) = delete;
+  HandedOff& operator=(const HandedOff&) = delete;
+
+  const int units;
+  const double bound;
+  std::atomic<int> next_unit{1};
+  std::vector<UnitOutcome> outcomes;  ///< by unit; slot 0 is unit 0's
+  /// A worker's throw, rethrown on the calling thread as the serial search
+  /// would throw it.
+  std::vector<std::exception_ptr> errors;
+  std::optional<support::ThreadPool> pool;
 };
 
 /// True when relabeling the modules by \p perm maps the flow set and the
@@ -112,8 +151,9 @@ class CpSearch {
   /// interchangeable modules, after flow_order_ and first_pins_ are set.
   void build_precedence_chains();
   void run_fixed_binding(const std::vector<int>& module_pin_idx);
-  /// Free policies: searches root units 0.. in order; once unit 0 is large,
-  /// units 1.. go to a pool (split_units).
+  /// Free policies: searches root units 0.. in order. With jobs > 1, once
+  /// unit 0 is large, units 1.. are handed off (hand_off) and the caller
+  /// joins the pool after unit 0 (finish_split).
   void search_free();
   /// The free policy's root units, the independent subtrees it splits into:
   /// the first module's pin (clockwise), or the first flow's (source,
@@ -122,10 +162,17 @@ class CpSearch {
   /// Searches root unit \p u. Unfixed units share the root node, which
   /// search_free() counts once.
   void search_unit(int u);
-  /// Searches root units 1..units_-1 on \p jobs workers, each from a reset
-  /// state bounded by the current incumbent, then folds them in unit order.
-  /// The answer is the serial search's.
-  void split_units(int jobs);
+  /// Hands root units 1.. to a pool, each unit bounded by the incumbent
+  /// held now, unless EngineParams::jobs resolves to one thread. Called by
+  /// the caller's state during unit 0.
+  void hand_off();
+  /// Searches handed-off unit \p u from a state reset to the handoff's
+  /// bound, and leaves its outcome in the unit's slot.
+  void search_handed_off(HandedOff& handed, int u);
+  /// After unit 0: takes handed-off units until none is left, joins the
+  /// pool and folds the outcomes in unit order. The answer is the serial
+  /// search's.
+  void finish_split();
   /// Readies a prepared state for one root unit bounded by \p bound: no
   /// counts, no incumbent. A finished or truncated search has undone its
   /// own bindings and placements, so nothing else needs resetting.
@@ -155,8 +202,9 @@ class CpSearch {
   }
   [[nodiscard]] bool out_of_budget() {
     if (truncated_) return true;
-    if (tally_.nodes >= kMaxNodes || params_.deadline.expired() ||
-        params_.stop.stop_requested()) {
+    if (tally_.nodes >= kMaxNodes || params_.stop.stop_requested() ||
+        ((tally_.nodes & (kDeadlinePollNodes - 1)) == 1 &&
+         params_.deadline.expired())) {
       truncated_ = true;
     }
     return truncated_;
@@ -242,7 +290,13 @@ class CpSearch {
   Tally tally_;
   bool truncated_ = false;
   int units_ = 1;       ///< root units (1 under the fixed policy)
-  int pool_units_ = 0;  ///< root units searched on the pool
+  int pool_units_ = 0;  ///< root units handed off (0 when serial)
+  /// The node count at which unit 0 hands off if it holds an incumbent;
+  /// -1 when no handoff is pending (one job, a pool state, or done).
+  long split_mark_ = -1;
+  /// Declared last: its destructor joins workers that read this state's
+  /// references.
+  std::unique_ptr<HandedOff> handed_;
 };
 
 void CpSearch::prepare() {
@@ -637,6 +691,7 @@ void CpSearch::dfs(int pos) {
   ++tally_.nodes;
   ++tally_.nodes_by_pos[static_cast<std::size_t>(pos)];
   if (out_of_budget()) return;
+  if (tally_.nodes == split_mark_ && best_.found) hand_off();
   if (pos == static_cast<int>(flow_order_.size())) {
     record_incumbent();
     return;
@@ -776,6 +831,7 @@ void CpSearch::search_unit(int u) {
 
 void CpSearch::search_free() {
   units_ = num_units();
+  if (units_ > 1 && params_.jobs != 1) split_mark_ = kSplitMinNodes;
   if (spec_.policy == BindingPolicy::kUnfixed) {
     // The unfixed root node is shared by its units: counted once, here. Its
     // bound test cannot cut yet (there is no incumbent), and it has no leaf:
@@ -785,12 +841,15 @@ void CpSearch::search_free() {
     if (out_of_budget()) return;
   }
   search_unit(0);
-  if (units_ > 1 && !truncated_ && tally_.nodes >= kSplitMinNodes) {
-    const int jobs = support::ThreadPool::resolve_jobs(params_.jobs);
-    if (jobs > 1) {
-      split_units(jobs);
-      return;
-    }
+  // Unit 0 held no incumbent at the mark: it hands off at its end, once
+  // large, with the bound it ends on.
+  if (split_mark_ > 0 && !truncated_ && tally_.nodes >= kSplitMinNodes) {
+    hand_off();
+  }
+  split_mark_ = -1;
+  if (handed_ != nullptr) {
+    finish_split();
+    return;
   }
   for (int u = 1; u < units_ && !out_of_budget(); ++u) search_unit(u);
 }
@@ -803,59 +862,76 @@ void CpSearch::reset_for_unit(double bound) {
   truncated_ = false;
 }
 
-void CpSearch::split_units(int jobs) {
-  // Every unit starts from the same bound, so what each one explores and
-  // finds does not depend on the others or on thread timing. Folding them
-  // in unit order, where only a strictly better incumbent replaces the
-  // current one, then picks exactly the solution the serial loop ends on;
-  // the node count matches too whenever unit 0 already holds the optimum,
-  // since the serial loop then prunes every later unit against that same
-  // bound.
-  struct UnitOutcome {
-    Tally tally;
-    bool truncated = false;
-    Incumbent best;
-  };
-  const auto slots = static_cast<std::size_t>(units_);
-  std::vector<UnitOutcome> outcomes(slots);
-  // A throwing unit search must not escape the pool thread; it is rethrown
-  // on the calling thread, as the serial search would throw it.
-  std::vector<std::exception_ptr> errors(slots);
-  std::atomic<int> next_unit{1};
-  const double bound = best_.obj;
-  {
-    support::ThreadPool pool(std::min(jobs, units_ - 1));
-    for (int w = 0; w < pool.size(); ++w) {
-      pool.submit([&] {
-        // One search state per worker, prepared once and reset per unit.
-        std::unique_ptr<CpSearch> state;
-        for (int u = next_unit++; u < units_; u = next_unit++) {
-          const auto slot = static_cast<std::size_t>(u);
-          try {
-            obs::TraceSpan span("cp.subtree",
-                                [u] { return cat("cp.subtree:", u); });
-            if (state == nullptr) {
-              state = std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
-              state->prepare();
-            }
-            state->reset_for_unit(bound);
-            state->search_unit(u);
-            outcomes[slot] = {std::move(state->tally_), state->truncated_,
-                              std::move(state->best_)};
-          } catch (...) {
-            errors[slot] = std::current_exception();
-            state.reset();  // a search cut by a throw has not undone itself
+void CpSearch::hand_off() {
+  split_mark_ = -1;
+  // Resolved only here: most solves never reach the mark.
+  const int jobs = support::ThreadPool::resolve_jobs(params_.jobs);
+  if (jobs < 2) return;
+  const int workers = std::min(jobs - 1, units_ - 1);
+  handed_ = std::make_unique<HandedOff>(units_, best_.obj);
+  if (obs::trace_enabled()) {
+    obs::trace_instant(
+        "cp.split",
+        {{"nodes", json::Value{tally_.nodes}},
+         {"bound", best_.found ? json::Value{best_.obj} : json::Value{nullptr}},
+         {"workers", json::Value{workers}}});
+  }
+  HandedOff& handed = *handed_;
+  handed.pool.emplace(workers);
+  for (int w = 0; w < workers; ++w) {
+    handed.pool->submit([this, &handed] {
+      // One search state per worker, prepared on its first unit.
+      std::unique_ptr<CpSearch> state;
+      for (int u = handed.next_unit++; u < handed.units;
+           u = handed.next_unit++) {
+        try {
+          if (state == nullptr) {
+            state = std::make_unique<CpSearch>(topo_, paths_, spec_, params_);
+            state->prepare();
           }
+          state->search_handed_off(handed, u);
+        } catch (...) {
+          handed.errors[static_cast<std::size_t>(u)] = std::current_exception();
+          state.reset();  // a search cut by a throw has not undone itself
         }
-      });
-    }
-  }  // joins the workers
+      }
+    });
+  }
+}
 
-  for (const std::exception_ptr& error : errors) {
+void CpSearch::search_handed_off(HandedOff& handed, int u) {
+  obs::TraceSpan span("cp.subtree", [u] { return cat("cp.subtree:", u); });
+  reset_for_unit(handed.bound);
+  search_unit(u);
+  handed.outcomes[static_cast<std::size_t>(u)] = {std::move(tally_), truncated_,
+                                                   std::move(best_)};
+}
+
+void CpSearch::finish_split() {
+  // Every handed-off unit starts from the same bound, so what each one
+  // explores and finds does not depend on the others or on thread timing.
+  // That bound is at least unit 0's final one, and a unit searched from a
+  // looser bound ends on the same best design whenever that design beats
+  // the tighter bound. So folding the units in unit order, where only a
+  // strictly better incumbent replaces the current one, picks exactly the
+  // solution the serial loop ends on; the node count matches too whenever
+  // the handoff's incumbent is already optimal, since the serial loop then
+  // prunes every later unit against that same bound.
+  HandedOff& handed = *handed_;
+  handed.outcomes[0] = {std::move(tally_), truncated_, std::move(best_)};
+  for (int u = handed.next_unit++; u < handed.units; u = handed.next_unit++) {
+    search_handed_off(handed, u);
+  }
+  handed.pool.reset();  // joins the workers
+  for (const std::exception_ptr& error : handed.errors) {
     if (error) std::rethrow_exception(error);
   }
-  for (std::size_t slot = 1; slot < slots; ++slot) {
-    UnitOutcome& unit = outcomes[slot];
+  UnitOutcome& first = handed.outcomes[0];
+  tally_ = std::move(first.tally);
+  truncated_ = first.truncated;
+  best_ = std::move(first.best);
+  for (std::size_t slot = 1; slot < handed.outcomes.size(); ++slot) {
+    UnitOutcome& unit = handed.outcomes[slot];
     tally_ += unit.tally;
     truncated_ = truncated_ || unit.truncated;
     if (unit.best.found && unit.best.obj < best_.obj - kObjEps) {
@@ -863,6 +939,7 @@ void CpSearch::split_units(int jobs) {
     }
   }
   pool_units_ = units_ - 1;
+  handed_.reset();
 }
 
 Result<SynthesisResult> CpSearch::run() {

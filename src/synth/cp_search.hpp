@@ -12,7 +12,8 @@
 /// first one whose cheapest set choice fails the bound ends the candidate
 /// loop — exactly, since every later placement would fail it too. The
 /// added length comes from PathSet::segment_mask() and the union of the
-/// placed paths' masks, one popcount per PathSet::length_classes() entry.
+/// placed paths' masks, one popcount per PathSet::length_classes() entry
+/// (one POPCNT instruction on x86-64: the library builds with -mpopcnt).
 /// The contamination check ANDs each candidate's PathSet::vertex_mask()
 /// with the OR of the conflicting earlier flows' masks, built once per node.
 /// Candidate lists, conflict masks, segment unions and undo lists live in
@@ -24,10 +25,12 @@
 /// Both free policies split into root units: the first module's pin
 /// (clockwise), or the first flow's (source, destination) pin pair
 /// (unfixed, whose root node the units share). When EngineParams::jobs
-/// resolves to more than one worker and unit 0 was large, units 1.. are
-/// searched on a pool, each worker keeping one search state that it
-/// resets per unit, each unit bounded by unit 0's incumbent, and folded in
-/// unit order: the answer is the serial one.
+/// resolves to more than one worker, the calling thread hands units 1.. off
+/// once unit 0 is large: at its 4,096th node if it holds an incumbent by
+/// then, else at its end. A pool of jobs - 1 workers and, after unit 0, the
+/// calling thread take them from one counter, each unit searched from a
+/// reset state bounded by the incumbent held at the handoff; the outcomes
+/// are folded in unit order, so the answer is the serial one.
 ///
 /// For the unfixed policy two symmetry rules apply. The first binding
 /// ranges over the orbit representatives of the symmetries the path set

@@ -49,9 +49,10 @@ struct EngineParams {
   support::StopToken stop;
   /// Worker threads for the cp engine's split of a clockwise or unfixed
   /// solve over its root units (the first module's pin, or the first
-  /// flow's pin pair); 0 means "use the hardware parallelism". The split
-  /// starts only once root unit 0 is large (cp_search.cpp), and its answer
-  /// is the serial one at every value. Also forwarded to the MILP tree
+  /// flow's pin pair); 0 means "use the hardware parallelism", and the
+  /// calling thread counts as one of them. The split starts only once root
+  /// unit 0 is large (cp_search.cpp), and its answer is the serial one at
+  /// every value. Also forwarded to the MILP tree
   /// search of the IQP engine and the pressure ILP while MilpParams::jobs
   /// is left at 1.
   int jobs = 0;

@@ -790,7 +790,7 @@ struct SplitCase {
   const char* name;
   ProblemSpec (*make)(BindingPolicy);  ///< called with the suite's policy
   /// Nodes the serial search explores; the split explores exactly as many
-  /// because root unit 0 already holds the optimum. 0: not pinned.
+  /// because unit 0 holds the optimum at the handoff. 0: not pinned.
   long nodes;
 };
 
@@ -891,9 +891,9 @@ std::pair<int, Result<SynthesisResult>> subtree_spans(
 }
 
 TEST(ClockwiseSplitTest, OnlyALargeFirstSubtreeStartsThePool) {
-  // ChIP sw.2 explores 29,911 nodes under its first pin, so jobs 4 searches
-  // the other 11 first pins on the pool, one cp.subtree span each; kinase
-  // SW2 stays below the threshold and runs serially.
+  // ChIP sw.2 explores 29,911 nodes under its first pin, so jobs 4 hands
+  // off the other 11 first pins, one cp.subtree span each; kinase SW2 stays
+  // below the threshold and runs serially.
   const auto spans_of = [](const ProblemSpec& spec) {
     const arch::SwitchTopology topo = arch::make_crossbar(spec.pins_per_side);
     const arch::PathSet paths = arch::enumerate_paths(topo);
@@ -1123,7 +1123,8 @@ TEST(ClockwiseSplitTest, CallerStopReachesTheWorkers) {
 // Under the unfixed policy a root unit is one (source, destination) pin pair
 // of the first flow: the first-binding pins times the other pins, 33 units
 // on 12 pins. The calling thread counts the shared root node once, searches
-// unit 0, and hands units 1.. to the pool once unit 0 is large.
+// unit 0, and hands units 1.. off once unit 0 is large (the handoff section
+// below).
 
 class UnfixedSplitParityTest : public ::testing::TestWithParam<SplitCase> {};
 
@@ -1176,8 +1177,8 @@ TEST(UnfixedSplitTest, FuzzInstancesSameAnswerAtEveryJobCount) {
 
 TEST(UnfixedSplitTest, OnlyALargeUnitZeroStartsThePool) {
   // ChIP SW1 unfixed explores more than 4,096 nodes in its root and unit 0,
-  // so jobs 4 searches the other 32 of its 33 units (3 first-binding pins x
-  // 11 destination pins) on the pool, one cp.subtree span each. Kinase SW2
+  // so jobs 4 hands off the other 32 of its 33 units (3 first-binding pins
+  // x 11 destination pins), one cp.subtree span each. Kinase SW2
   // stays below the threshold. So does this 8-pin spec the size of the
   // perfbench serve_zipf pool's largest (its unfixed entry serve33): 8,116
   // nodes in all but 1,531 by the end of unit 0. A count of every node so
@@ -1203,7 +1204,7 @@ TEST(UnfixedSplitTest, OnlyALargeUnitZeroStartsThePool) {
 TEST(UnfixedSplitTest, DoneCountsNodesPerPositionAndUnits) {
   // cp.done says where the proof went: nodes per flow-order position (the
   // last entry counts leaves), summed over the units, and how many root
-  // units there were and ran on the pool. The root is counted once.
+  // units there were and were handed off. The root is counted once.
   const ProblemSpec spec = cases::chip_sw1(BindingPolicy::kUnfixed);
   const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
   auto& tracer = obs::Tracer::instance();
@@ -1282,6 +1283,156 @@ TEST(UnfixedSplitTest, CallerStopReachesTheWorkers) {
     EXPECT_EQ(stopped.status().code(), StatusCode::kTimeout)
         << stopped.status().to_string();
   }
+}
+
+// --- The handoff -----------------------------------------------------------
+//
+// With jobs > 1 the calling thread hands root units 1.. off at the 4,096th
+// node (the unfixed root included) if unit 0 holds an incumbent by then,
+// else at the end of unit 0, and emits a cp.split instant there. It then
+// finishes unit 0 and takes handed-off units from the pool's counter.
+
+/// A solve of \p spec on its shared switch model at \p jobs, traced.
+struct TracedSolve {
+  Result<SynthesisResult> result;
+  json::Value trace;  ///< the event array
+};
+
+TracedSolve traced_solve(const ProblemSpec& spec, int jobs) {
+  const arch::SwitchModel& model = arch::switch_model(spec.pins_per_side);
+  auto& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.enable();
+  auto result =
+      solve_cp(model.topology, model.paths, spec, params_with_jobs(jobs));
+  tracer.disable();
+  auto doc = json::parse(tracer.to_json());
+  tracer.reset();
+  return {std::move(result), doc.ok() ? std::move(*doc) : json::Value{}};
+}
+
+/// The events named \p name in \p trace.
+std::vector<json::Value> events_named(const json::Value& trace,
+                                      const std::string& name) {
+  std::vector<json::Value> out;
+  if (!trace.is_array()) return out;
+  for (const json::Value& ev : trace.as_array()) {
+    if (ev.get_string("name", "") == name) out.push_back(ev);
+  }
+  return out;
+}
+
+/// The args of the one cp.split instant of \p solve, or null.
+json::Value split_args(const TracedSolve& solve) {
+  const std::vector<json::Value> splits = events_named(solve.trace, "cp.split");
+  EXPECT_EQ(splits.size(), 1u);
+  if (splits.size() != 1) return json::Value{};
+  const json::Value* args = splits[0].find("args");
+  return args != nullptr ? *args : json::Value{};
+}
+
+TEST(SplitHandoffTest, HandsOffAtTheMarkWithUnitZerosIncumbent) {
+  // Both cases record their optimum within their first ten nodes, so unit 0
+  // holds it at the mark and hands off there, to one worker per job beyond
+  // the caller's. A serial solve and kinase SW2 (1,401 nodes by the end of
+  // unit 0) never hand off.
+  const std::pair<ProblemSpec, double> at_mark[] = {
+      {cases::chip_sw1(BindingPolicy::kUnfixed), 931.0},
+      {cases::chip_sw2(BindingPolicy::kClockwise), 1141.0}};
+  for (const auto& [spec, optimum] : at_mark) {
+    for (const int jobs : {2, 4}) {
+      const std::string what = cat(spec.name, " jobs ", jobs);
+      const TracedSolve solve = traced_solve(spec, jobs);
+      ASSERT_TRUE(solve.result.ok()) << what;
+      EXPECT_NEAR(solve.result->objective, optimum, 1e-9) << what;
+      const json::Value split = split_args(solve);
+      EXPECT_EQ(split.get_number("nodes", -1), 4096) << what;
+      EXPECT_NEAR(split.get_number("bound", -1), optimum, 1e-9) << what;
+      EXPECT_EQ(split.get_number("workers", -1), jobs - 1) << what;
+    }
+    EXPECT_TRUE(events_named(traced_solve(spec, 1).trace, "cp.split").empty())
+        << spec.name;
+  }
+  const TracedSolve small =
+      traced_solve(cases::kinase_sw2(BindingPolicy::kClockwise), 4);
+  ASSERT_TRUE(small.result.ok());
+  EXPECT_TRUE(events_named(small.trace, "cp.split").empty());
+}
+
+TEST(SplitHandoffTest, WithoutAnIncumbentAtTheMarkHandsOffAtUnitZerosEnd) {
+  // This 12-pin unfixed spec records its first incumbent at node 12,509,
+  // past the mark, so unit 0 hands off at its end instead: node 58,588,
+  // with the bound unit 0 ends on. That bound is already the optimum, so
+  // the split explores the serial nodes.
+  cases::ArtificialParams params;
+  params.pins_per_side = 3;
+  params.policy = BindingPolicy::kUnfixed;
+  params.num_inlets = 3;
+  params.num_outlets = 6;
+  params.num_conflict_pairs = 1;
+  params.seed = 7003;
+  const ProblemSpec spec = cases::make_artificial(params);
+  const TracedSolve serial = traced_solve(spec, 1);
+  ASSERT_TRUE(serial.result.ok()) << serial.result.status().to_string();
+  EXPECT_TRUE(events_named(serial.trace, "cp.split").empty());
+  const std::vector<json::Value> incumbents =
+      events_named(serial.trace, "cp.incumbent");
+  ASSERT_FALSE(incumbents.empty());
+  const json::Value* first = incumbents.front().find("args");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->get_number("nodes", -1), 12'509);
+  for (const int jobs : {2, 4}) {
+    const TracedSolve solve = traced_solve(spec, jobs);
+    const std::string what = cat("jobs ", jobs);
+    expect_same_answer(serial.result, solve.result, what);
+    ASSERT_TRUE(solve.result.ok()) << what;
+    EXPECT_EQ(solve.result->stats.nodes, serial.result->stats.nodes) << what;
+    const json::Value split = split_args(solve);
+    EXPECT_EQ(split.get_number("nodes", -1), 58'588) << what;
+    EXPECT_NEAR(split.get_number("bound", -1), serial.result->objective, 1e-9)
+        << what;
+    EXPECT_EQ(split.get_number("workers", -1), jobs - 1) << what;
+  }
+
+  // A spec with no design at all hands off at the end of unit 0 with no
+  // bound (null, not a non-JSON infinity).
+  params.pins_per_side = 3;
+  params.policy = BindingPolicy::kClockwise;
+  params.num_inlets = 2;
+  params.num_outlets = 3;
+  params.num_conflict_pairs = 1;
+  params.seed = 7000;
+  const TracedSolve none = traced_solve(cases::make_artificial(params), 4);
+  ASSERT_FALSE(none.result.ok());
+  EXPECT_EQ(none.result.status().code(), StatusCode::kInfeasible);
+  const json::Value split = split_args(none);
+  EXPECT_EQ(split.get_number("nodes", -1), 5'508);
+  ASSERT_NE(split.find("bound"), nullptr);
+  EXPECT_TRUE(split.find("bound")->is_null());
+}
+
+TEST(SplitHandoffTest, CallerTakesHandedOffUnits) {
+  // At jobs 2 the pool has one worker. The calling thread finishes unit 0
+  // (about 12,000 nodes past the mark) and then takes handed-off units from
+  // the same counter, while the worker has about 91,000 nodes in 32 units
+  // to search: so some of the 32 cp.subtree spans run on the thread of the
+  // cp.solve span.
+  const TracedSolve solve =
+      traced_solve(cases::chip_sw1(BindingPolicy::kUnfixed), 2);
+  ASSERT_TRUE(solve.result.ok()) << solve.result.status().to_string();
+  EXPECT_EQ(solve.result->stats.nodes, 107'672);
+  const std::vector<json::Value> solves = events_named(solve.trace, "cp.solve");
+  ASSERT_EQ(solves.size(), 1u);
+  const double caller = solves[0].get_number("tid", -1);
+  int spans = 0;
+  int on_caller = 0;
+  for (const json::Value& ev : solve.trace.as_array()) {
+    if (ev.get_string("name", "").rfind("cp.subtree:", 0) != 0) continue;
+    ++spans;
+    on_caller += ev.get_number("tid", -2) == caller ? 1 : 0;
+  }
+  EXPECT_EQ(spans, 32);
+  EXPECT_GE(on_caller, 1);
 }
 
 }  // namespace
