@@ -9,7 +9,8 @@
 # request + SIGTERM drain, all obs artifacts validated), a bench wall-time
 # regression guard against the committed summary, the LP/MILP tests, the
 # obs flight recorder, the input boundaries (case JSON, serve request
-# lines, the persistent store; hostile cases and the mutation fuzz) and the
+# lines, the persistent store; hostile cases and the mutation fuzz), the
+# JSON value and parser, and the
 # cp search's per-depth buffers and path vertex masks again under
 # AddressSanitizer + UBSan (the sparse LU and eta-file code is
 # pointer-heavy; the recorder's dump path formats into fixed buffers; the
@@ -182,7 +183,12 @@ fi
 cmake -B build-asan -S . -DMLSI_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
     --target opt_simplex_test opt_cuts_test opt_milp_test obs_test io_test \
-    serve_test fuzz_boundaries_test cp_search_test arch_paths_test
+    serve_test fuzz_boundaries_test cp_search_test arch_paths_test \
+    support_test
+# The JSON value under ASan/UBSan: a tagged union that manages its own
+# string, array and object storage, objects whose inserts move members,
+# and the parser's element and member stacks.
+build-asan/tests/support_test
 build-asan/tests/opt_simplex_test
 build-asan/tests/opt_cuts_test
 build-asan/tests/opt_milp_test

@@ -168,31 +168,8 @@ Status save_spec(const std::string& path, const ProblemSpec& spec) {
 Value result_to_json(const arch::SwitchTopology& topo,
                      const ProblemSpec& spec,
                      const synth::SynthesisResult& result) {
+  // Members in key order, so each one appends (see json::Object).
   Object obj;
-  obj["version"] = Value{kResultSchemaVersion};
-  obj["case"] = Value{spec.name};
-  obj["policy"] = Value{std::string{to_string(spec.policy)}};
-  obj["switch"] = Value{topo.name()};
-  obj["num_sets"] = Value{result.num_sets};
-  obj["flow_length_mm"] = Value{result.flow_length_mm};
-  obj["num_valves"] = Value{result.num_valves()};
-  obj["control_inlets"] = Value{result.num_pressure_groups};
-  obj["objective"] = Value{result.objective};
-  obj["engine"] = Value{result.stats.engine};
-  obj["runtime_s"] = Value{result.stats.runtime_s};
-  obj["proven_optimal"] = Value{result.stats.proven_optimal};
-  obj["nodes"] = Value{static_cast<double>(result.stats.nodes)};
-  obj["lp_iterations"] =
-      Value{static_cast<double>(result.stats.lp_iterations)};
-  obj["lp_factorizations"] =
-      Value{static_cast<double>(result.stats.lp_factorizations)};
-  obj["lp_warm_starts"] = Value{static_cast<double>(result.stats.warm_starts)};
-  obj["lp_cold_starts"] = Value{static_cast<double>(result.stats.cold_starts)};
-  obj["cuts_generated"] =
-      Value{static_cast<double>(result.stats.cuts_generated)};
-  obj["cuts_applied"] = Value{static_cast<double>(result.stats.cuts_applied)};
-  obj["cuts_dropped"] = Value{static_cast<double>(result.stats.cuts_dropped)};
-
   Object binding;
   for (int m = 0; m < spec.num_modules(); ++m) {
     const int pin = result.binding[static_cast<std::size_t>(m)];
@@ -202,38 +179,65 @@ Value result_to_json(const arch::SwitchTopology& topo,
     }
   }
   obj["binding"] = Value{std::move(binding)};
+  obj["case"] = Value{spec.name};
+  obj["control_inlets"] = Value{result.num_pressure_groups};
+  obj["cuts_applied"] = Value{static_cast<double>(result.stats.cuts_applied)};
+  obj["cuts_dropped"] = Value{static_cast<double>(result.stats.cuts_dropped)};
+  obj["cuts_generated"] =
+      Value{static_cast<double>(result.stats.cuts_generated)};
+  obj["engine"] = Value{result.stats.engine};
+  obj["flow_length_mm"] = Value{result.flow_length_mm};
 
   Array flows;
+  flows.reserve(result.routed.size());
   for (const synth::RoutedFlow& rf : result.routed) {
     Object fo;
     const synth::FlowSpec& fs = spec.flows[static_cast<std::size_t>(rf.flow)];
     fo["from"] = Value{spec.modules[static_cast<std::size_t>(fs.src_module)]};
-    fo["to"] = Value{spec.modules[static_cast<std::size_t>(fs.dst_module)]};
-    fo["set"] = Value{rf.set};
     Array segs;
+    segs.reserve(rf.path.segments.size());
     for (const int sid : rf.path.segments) {
       segs.emplace_back(topo.segment(sid).name);
     }
     fo["path"] = Value{std::move(segs)};
+    fo["set"] = Value{rf.set};
+    fo["to"] = Value{spec.modules[static_cast<std::size_t>(fs.dst_module)]};
     flows.push_back(Value{std::move(fo)});
   }
   obj["flows"] = Value{std::move(flows)};
 
+  obj["lp_cold_starts"] = Value{static_cast<double>(result.stats.cold_starts)};
+  obj["lp_factorizations"] =
+      Value{static_cast<double>(result.stats.lp_factorizations)};
+  obj["lp_iterations"] =
+      Value{static_cast<double>(result.stats.lp_iterations)};
+  obj["lp_warm_starts"] = Value{static_cast<double>(result.stats.warm_starts)};
+  obj["nodes"] = Value{static_cast<double>(result.stats.nodes)};
+  obj["num_sets"] = Value{result.num_sets};
+  obj["num_valves"] = Value{result.num_valves()};
+  obj["objective"] = Value{result.objective};
+  obj["policy"] = Value{std::string{to_string(spec.policy)}};
+  obj["proven_optimal"] = Value{result.stats.proven_optimal};
+  obj["runtime_s"] = Value{result.stats.runtime_s};
+  obj["switch"] = Value{topo.name()};
+
   Array valves;
+  valves.reserve(result.essential_valves.size());
   for (std::size_t i = 0; i < result.essential_valves.size(); ++i) {
     Object vo;
-    vo["segment"] = Value{topo.segment(result.essential_valves[i]).name};
     if (i < result.pressure_group.size()) {
       vo["pressure_group"] = Value{result.pressure_group[i]};
     }
+    vo["segment"] = Value{topo.segment(result.essential_valves[i]).name};
     std::string states;
     for (const auto& per_set : result.valve_states) {
       states += to_char(per_set[i]);
     }
-    vo["states"] = Value{states};
+    vo["states"] = Value{std::move(states)};
     valves.push_back(Value{std::move(vo)});
   }
   obj["valves"] = Value{std::move(valves)};
+  obj["version"] = Value{kResultSchemaVersion};
   return Value{std::move(obj)};
 }
 

@@ -140,40 +140,43 @@ Result<std::vector<int>> to_int_vector(const Value* v, std::string_view what) {
 }  // namespace
 
 Value cached_to_json(const CachedResult& cached) {
+  // Members in key order, so each one appends (see json::Object).
   Object o;
-  if (cached.infeasible) o["infeasible"] = Value{true};
   o["binding"] = int_array(cached.binding);
+  o["essential_valves"] = int_array(cached.essential_valves);
+  o["flow_length_mm"] = Value{cached.flow_length_mm};
   Array flows;
+  flows.reserve(cached.flows.size());
   for (const auto& [set, path] : cached.flows) {
     flows.emplace_back(Array{Value{set}, Value{path}});
   }
   o["flows"] = Value{std::move(flows)};
-  o["num_sets"] = Value{cached.num_sets};
-  o["used_segments"] = int_array(cached.used_segments);
-  o["flow_length_mm"] = Value{cached.flow_length_mm};
-  o["objective"] = Value{cached.objective};
-  o["essential_valves"] = int_array(cached.essential_valves);
-  Array states;
-  for (const std::string& row : cached.valve_states) states.emplace_back(row);
-  o["valve_states"] = Value{std::move(states)};
-  o["pressure_group"] = int_array(cached.pressure_group);
+  if (cached.infeasible) o["infeasible"] = Value{true};
   o["num_pressure_groups"] = Value{cached.num_pressure_groups};
+  o["num_sets"] = Value{cached.num_sets};
+  o["objective"] = Value{cached.objective};
+  o["pressure_group"] = int_array(cached.pressure_group);
   Object stats;
-  stats["engine"] = Value{cached.stats.engine};
-  stats["runtime_s"] = Value{cached.stats.runtime_s};
-  stats["nodes"] = Value{static_cast<double>(cached.stats.nodes)};
-  stats["proven_optimal"] = Value{cached.stats.proven_optimal};
-  stats["lp_iterations"] =
-      Value{static_cast<double>(cached.stats.lp_iterations)};
-  stats["lp_factorizations"] =
-      Value{static_cast<double>(cached.stats.lp_factorizations)};
-  stats["warm_starts"] = Value{static_cast<double>(cached.stats.warm_starts)};
   stats["cold_starts"] = Value{static_cast<double>(cached.stats.cold_starts)};
-  stats["cuts_generated"] =
-      Value{static_cast<double>(cached.stats.cuts_generated)};
   stats["cuts_applied"] = Value{static_cast<double>(cached.stats.cuts_applied)};
   stats["cuts_dropped"] = Value{static_cast<double>(cached.stats.cuts_dropped)};
+  stats["cuts_generated"] =
+      Value{static_cast<double>(cached.stats.cuts_generated)};
+  stats["engine"] = Value{cached.stats.engine};
+  stats["lp_factorizations"] =
+      Value{static_cast<double>(cached.stats.lp_factorizations)};
+  stats["lp_iterations"] =
+      Value{static_cast<double>(cached.stats.lp_iterations)};
+  stats["nodes"] = Value{static_cast<double>(cached.stats.nodes)};
+  stats["proven_optimal"] = Value{cached.stats.proven_optimal};
+  stats["runtime_s"] = Value{cached.stats.runtime_s};
+  stats["warm_starts"] = Value{static_cast<double>(cached.stats.warm_starts)};
   o["stats"] = Value{std::move(stats)};
+  o["used_segments"] = int_array(cached.used_segments);
+  Array states;
+  states.reserve(cached.valve_states.size());
+  for (const std::string& row : cached.valve_states) states.emplace_back(row);
+  o["valve_states"] = Value{std::move(states)};
   return Value{std::move(o)};
 }
 

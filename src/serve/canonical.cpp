@@ -1,6 +1,6 @@
 #include "serve/canonical.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "support/strings.hpp"
 
@@ -18,9 +18,9 @@ std::uint64_t fnv1a64(std::string_view s) {
 namespace {
 
 std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::general, 17).ptr};
 }
 
 std::string_view reduction_name(synth::ValveReductionRule r) {

@@ -57,36 +57,40 @@ std::string_view to_string(ServeOutcome outcome) {
 
 Value response_to_json(const ServeResponse& response) {
   Object o;
-  o["id"] = Value{response.id};
-  o["status"] = Value{std::string(to_string(response.outcome))};
-  if (!response.error.empty()) o["error"] = Value{response.error};
   // Control responses (stats) splice their payload at top level and skip
   // the request-shaped fields entirely.
   if (response.control.is_object()) {
+    o["id"] = Value{response.id};
+    o["status"] = Value{to_string(response.outcome)};
+    if (!response.error.empty()) o["error"] = Value{response.error};
     for (const auto& [key, value] : response.control.as_object()) {
       o[key] = value;
     }
     return Value{std::move(o)};
   }
+  // Members in key order, so each one appends (see json::Object).
   o["cached"] = Value{response.cached};
   o["coalesced"] = Value{response.coalesced};
-  o["wall_us"] = Value{response.wall_us};
+  if (!response.error.empty()) o["error"] = Value{response.error};
+  o["id"] = Value{response.id};
+  if (response.outcome == ServeOutcome::kOk) o["result"] = response.result;
+  o["status"] = Value{to_string(response.outcome)};
   if (response.timing.seq > 0) {
     const StageTiming& t = response.timing;
     Object timing;
-    timing["seq"] = Value{static_cast<double>(t.seq)};
+    timing["cache_probe_us"] = Value{t.cache_probe_us};
+    timing["canonicalize_us"] = Value{t.canonicalize_us};
     if (t.leader_seq >= 0) {
       timing["leader_seq"] = Value{static_cast<double>(t.leader_seq)};
     }
-    timing["canonicalize_us"] = Value{t.canonicalize_us};
-    timing["cache_probe_us"] = Value{t.cache_probe_us};
-    timing["queue_wait_us"] = Value{t.queue_wait_us};
-    timing["solve_us"] = Value{t.solve_us};
     timing["permute_us"] = Value{t.permute_us};
+    timing["queue_wait_us"] = Value{t.queue_wait_us};
+    timing["seq"] = Value{static_cast<double>(t.seq)};
+    timing["solve_us"] = Value{t.solve_us};
     timing["total_us"] = Value{t.total_us};
     o["timing"] = Value{std::move(timing)};
   }
-  if (response.outcome == ServeOutcome::kOk) o["result"] = response.result;
+  o["wall_us"] = Value{response.wall_us};
   return Value{std::move(o)};
 }
 

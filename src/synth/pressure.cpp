@@ -86,7 +86,7 @@ PressureGroups pressure_groups_ilp(
     const std::vector<std::vector<bool>>& compatible,
     const opt::MilpParams& params) {
   const int n = static_cast<int>(compatible.size());
-  if (n == 0) return PressureGroups{{}, 0, true};
+  if (n == 0) return PressureGroups{{}, 0, true, opt::SolveStats{}};
 
   // The greedy cover bounds the number of cliques the ILP needs to offer —
   // tighter than the paper's "initial size = number of valves".

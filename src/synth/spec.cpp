@@ -1,7 +1,7 @@
 #include "synth/spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <numeric>
 #include <set>
 
@@ -175,9 +175,9 @@ namespace {
 
 /// Exact decimal round-trip for the objective weights in the canonical text.
 std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::general, 17).ptr};
 }
 
 /// conflict_adjacency()[f] = sorted flow ids conflicting with f.

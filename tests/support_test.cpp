@@ -4,11 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <ostream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "support/json.hpp"
 #include "support/log.hpp"
@@ -102,6 +111,68 @@ TEST(StringsTest, PadHelpers) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("abcd", 2), "abcd");
+}
+
+/// What `std::ostringstream << v` prints: the rule cat() must follow.
+template <typename T>
+std::string streamed(const T& v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+/// A type that formats itself: cat() must take it through its operator<<.
+struct Millimetres {
+  double mm;
+};
+std::ostream& operator<<(std::ostream& out, const Millimetres& m) {
+  return out << m.mm << " mm";
+}
+
+template <typename T>
+void expect_cat_streams_limits() {
+  for (const T v : {std::numeric_limits<T>::min(), T{0}, T{1}, T{42},
+                    std::numeric_limits<T>::max()}) {
+    EXPECT_EQ(cat(v), streamed(v));
+  }
+}
+
+TEST(StringsTest, CatFormatsEachArgumentAsTheStreamDoes) {
+  EXPECT_EQ(cat("x=", 3, "mm"), "x=3mm");
+  EXPECT_EQ(cat(std::string{"ab"}, std::string_view{"cd"}, 'e'), "abcde");
+  EXPECT_EQ(cat(true, false), streamed(true) + streamed(false));
+  expect_cat_streams_limits<signed char>();
+  expect_cat_streams_limits<unsigned char>();
+  expect_cat_streams_limits<short>();
+  expect_cat_streams_limits<unsigned short>();
+  expect_cat_streams_limits<int>();
+  expect_cat_streams_limits<unsigned>();
+  expect_cat_streams_limits<long>();
+  expect_cat_streams_limits<unsigned long>();
+  expect_cat_streams_limits<long long>();
+  expect_cat_streams_limits<unsigned long long>();
+  expect_cat_streams_limits<std::size_t>();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.1, 1e-5, 1e20, -0.0, inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN(), 123456.5,
+                         1234567.0, 2.0 / 3.0, -1e-300, DBL_MAX, 5e-324}) {
+    EXPECT_EQ(cat(v), streamed(v)) << v;
+  }
+  EXPECT_EQ(cat(0.1f), streamed(0.1f));
+  EXPECT_EQ(cat(1e-7L), streamed(1e-7L));
+  EXPECT_EQ(cat(Millimetres{2.5}), "2.5 mm");
+  EXPECT_EQ(cat("[", Millimetres{0.25}, "] ", 7u, ' ', -3.5),
+            "[0.25 mm] 7 -3.5");
+}
+
+TEST(StringsTest, CatHoldsNoSpareCapacity) {
+  // As large as the copy ostringstream::str() returned: a short result
+  // stays inline, a longer one is allocated at exactly its size.
+  for (const std::string& s :
+       {cat("m", 123456), cat("module-label-", 1234567),
+        cat("{\"id\":\"q", 17, "\",\"case\":", std::string(100, 'x'), "}")}) {
+    EXPECT_EQ(s.capacity(), std::string{s}.capacity()) << s;
+  }
 }
 
 TEST(RngTest, Deterministic) {
@@ -274,6 +345,171 @@ TEST(JsonTest, TypeMismatchAsserts) {
   EXPECT_THROW((void)v.as_string(), AssertionError);
   EXPECT_THROW((void)json::Value{"s"}.as_number(), AssertionError);
   EXPECT_THROW((void)json::Value{2.5}.as_int(), AssertionError);
+}
+
+/// The number rule of the text format: integral values below 1e15 as
+/// integers, every other value as printf's "%.17g".
+std::string number_text(double n) {
+  if (std::nearbyint(n) == n && std::fabs(n) < 1e15) {
+    return std::to_string(static_cast<long long>(n));
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", n);
+  return buf;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(JsonTest, NumbersDumpByTheTextRuleAndParseToStrtodBits) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0,  -0.0, inf,      -inf,   5e-324,
+                                -5e-324, DBL_MAX, -DBL_MAX, 1e15 - 1,
+                                1e15, 1e15 + 1, -1e15 + 1, -1e15, 0.1, 1e-5};
+  Rng rng(20240917);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t b = rng.next_u64();
+    double v = 0.0;
+    std::memcpy(&v, &b, sizeof v);
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  // Integers, halves and short decimals: the integer path and its edge.
+  for (int i = 0; i < 100'000; ++i) {
+    const auto k = static_cast<double>(rng.next_below(1ull << 51)) -
+                   static_cast<double>(1ull << 50);
+    values.push_back(k);
+    values.push_back(k / 2);
+    values.push_back(k / 1000);
+    values.push_back(k * 1e3);
+  }
+  long mismatches = 0;
+  for (const double v : values) {
+    const std::string text = json::Value{v}.dump();
+    const std::string want = number_text(v);
+    if (text != want) {
+      if (++mismatches <= 5) ADD_FAILURE() << want << " dumped as " << text;
+      continue;
+    }
+    if (!std::isfinite(v)) continue;
+    const auto back = json::parse(text);
+    if (!back.ok() || bits(back->as_number()) !=
+                          bits(std::strtod(text.c_str(), nullptr))) {
+      if (++mismatches <= 5) ADD_FAILURE() << text << " did not parse back";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonTest, NumberTokensOutsideFromCharsParseAsStrtodReadsThem) {
+  EXPECT_EQ(json::parse("1e999")->as_number(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::parse("-1e999")->as_number(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::parse("+5")->as_number(), 5.0);
+  EXPECT_EQ(bits(json::parse("1e-400")->as_number()), bits(0.0));
+  EXPECT_EQ(bits(json::parse("-1e-400")->as_number()), bits(-0.0));
+  EXPECT_EQ(json::parse("[+1.5e+2]")->as_array()[0].as_number(), 150.0);
+  // Non-finite values dump as printf prints them, which is no JSON.
+  EXPECT_EQ(json::Value{std::numeric_limits<double>::infinity()}.dump(), "inf");
+  EXPECT_FALSE(json::parse("inf").ok());
+  for (const auto& [text, message] :
+       {std::pair{"1-2", "JSON parse error at offset 3: invalid number"},
+        std::pair{"-", "JSON parse error at offset 1: invalid number"},
+        std::pair{"[1e]", "JSON parse error at offset 3: invalid number"},
+        std::pair{"[1, x]", "JSON parse error at offset 4: expected a value"}}) {
+    const auto r = json::parse(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().message(), message);
+  }
+}
+
+TEST(JsonTest, ValueIsCompact) {
+  // A tagged union: the largest member (std::string) plus the tag.
+  EXPECT_LE(sizeof(json::Value), sizeof(std::string) + sizeof(double));
+}
+
+TEST(JsonTest, ObjectInsertsInAnyOrderDumpInKeyOrder) {
+  json::Object obj;
+  obj["b"] = json::Value{2};
+  obj["a"] = json::Value{1};
+  obj[std::string{"d"}] = json::Value{4};
+  obj[std::string_view{"c"}] = json::Value{3};
+  obj["aa"] = json::Value{"x"};
+  obj["a"] = json::Value{10};  // an existing key is assigned, not added
+  EXPECT_EQ(json::Value{obj}.dump(), R"({"a":10,"aa":"x","b":2,"c":3,"d":4})");
+  EXPECT_EQ(obj.size(), 5u);
+  EXPECT_EQ(obj.count("aa"), 1u);
+  EXPECT_EQ(obj.erase("aa"), 1u);
+  EXPECT_EQ(obj.erase("aa"), 0u);
+  EXPECT_EQ(obj.count("aa"), 0u);
+  EXPECT_EQ(obj.find("zz"), obj.end());
+  ASSERT_NE(obj.find("c"), obj.end());
+  EXPECT_EQ(obj.find("c")->second.as_int(), 3);
+  std::string keys;
+  for (const auto& [key, value] : obj) keys += key;
+  EXPECT_EQ(keys, "abcd");
+  EXPECT_EQ(json::Value{obj}.dump(), R"({"a":10,"b":2,"c":3,"d":4})");
+  EXPECT_FALSE(obj.empty());
+  EXPECT_TRUE(json::Object{}.empty());
+}
+
+TEST(JsonTest, RepeatedKeysParseToTheLastAndListToTheFirst) {
+  const auto parsed = json::parse(R"({"b": 1, "a": 2, "b": 3})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->dump(), R"({"a":2,"b":3})");
+  // Past the insertion-sort length too.
+  std::string text = "{";
+  for (int i = 99; i >= 0; --i) text += cat("\"k", i % 40, "\":", i, ",");
+  text += "\"k7\":-1}";
+  const auto many = json::parse(text);
+  ASSERT_TRUE(many.ok());
+  EXPECT_EQ(many->as_object().size(), 40u);
+  EXPECT_EQ(many->get_int("k7", 0), -1);
+  EXPECT_EQ(many->get_int("k8", 0), 8);
+  EXPECT_EQ(many->get_int("k39", 0), 39);
+  const json::Object listed{{"k", json::Value{1}}, {"j", json::Value{0}},
+                            {"k", json::Value{2}}};
+  EXPECT_EQ(json::Value{listed}.dump(), R"({"j":0,"k":1})");
+}
+
+TEST(JsonTest, LongObjectInDescendingKeyOrderParsesInLinearithmicTime) {
+  // One request line of 80,000 members, each key sorting before the last:
+  // a quadratic sort takes tens of seconds here.
+  constexpr int kMembers = 80'000;
+  std::string line = R"({"id":"q1","case":{)";
+  for (int i = kMembers - 1; i >= 0; --i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "m%06d", i);
+    line += cat("\"", key, "\":", i, i > 0 ? "," : "");
+  }
+  line += "}}";
+  const Timer t;
+  const auto doc = json::parse(line);
+  const double seconds = t.seconds();
+  ASSERT_TRUE(doc.ok());
+  const json::Object& members = doc->find("case")->as_object();
+  ASSERT_EQ(members.size(), static_cast<std::size_t>(kMembers));
+  EXPECT_EQ(members.begin()->first, "m000000");
+  EXPECT_EQ(doc->find("case")->get_int("m012345", -1), 12345);
+  EXPECT_LT(seconds, 2.0);
+}
+
+TEST(JsonTest, ValueCopiesAndMovesKeepTheirContents) {
+  json::Value doc = *json::parse(R"({"a": [1, "two", {"b": null}], "c": "s"})");
+  const json::Value copy = doc;
+  json::Value moved = std::move(doc);
+  EXPECT_EQ(copy.dump(), moved.dump());
+  // Assigning a value from inside itself.
+  moved = moved.as_object()["a"];
+  EXPECT_EQ(moved.dump(), R"([1,"two",{"b":null}])");
+  moved = std::move(moved.as_array()[2]);
+  EXPECT_EQ(moved.dump(), R"({"b":null})");
+  moved = json::Value{"text"};
+  EXPECT_EQ(moved.as_string(), "text");
+  EXPECT_EQ(copy.find("c")->as_string(), "s");
 }
 
 // --- logger ---------------------------------------------------------------
